@@ -15,20 +15,14 @@
 /// the sideline's advantage grows with it — most on workloads whose traces
 /// die young (gcc, perlbmk).
 ///
-/// A second sweep compares off / sync sideline / async sideline across
-/// the indirect-branch-heavy trio (virtual dispatch, return tree,
-/// interpreter): asynchronous publication charges SidelinePublishCost
-/// instead of FragmentReplaceCost, so once steady state is reached the
-/// async run must not cost more simulated cycles than the sync one.
+/// The second sweep (off / sync / async sideline on the indirect-branch
+/// trio) is bench_sideline.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Sideline.h"
 #include "harness/Experiment.h"
 #include "support/OutStream.h"
-
-#include <cstdlib>
-#include <string>
 
 using namespace rio;
 
@@ -68,169 +62,6 @@ double runOnce(const Program &Prog, unsigned ExtraCost, bool Sideline,
              : -1;
 }
 
-/// Virtual dispatch over a mostly-monomorphic type vector.
-std::string vdispatchSource(int Outer) {
-  return R"(
-    .entry main
-    types: .word 0 0 0 0 0 0 0 4 0 0 0 8 0 0 4 0
-    vtable: .word m0 m1 m2
-    main:
-      mov esi, 0
-      mov ebp, )" + std::to_string(Outer) + R"(
-    outer:
-      mov ebx, 0
-    inner:
-      mov ecx, [types+ebx]
-      jmp [vtable+ecx]
-    m0:
-      add esi, 1
-      jmp mret
-    m1:
-      add esi, 17
-      jmp mret
-    m2:
-      add esi, 257
-      jmp mret
-    mret:
-      add ebx, 4
-      cmp ebx, 64
-      jnz inner
-      and esi, 0xFFFFFF
-      dec ebp
-      jnz outer
-      mov ebx, esi
-      mov eax, 2
-      int 0x80
-      mov ebx, 0
-      mov eax, 1
-      int 0x80
-  )";
-}
-
-/// Three-level call tree: seven returns per iteration, three ret sites.
-std::string rettreeSource(int Iters) {
-  return R"(
-    .entry main
-    main:
-      mov esi, 0
-      mov edi, )" + std::to_string(Iters) + R"(
-    loop:
-      call a
-      and esi, 0xFFFFFF
-      dec edi
-      jnz loop
-      mov ebx, esi
-      mov eax, 2
-      int 0x80
-      mov ebx, 0
-      mov eax, 1
-      int 0x80
-    a:
-      call b
-      call b
-      add esi, 5
-      ret
-    b:
-      call leaf
-      call leaf
-      add esi, 7
-      ret
-    leaf:
-      add esi, 3
-      ret
-  )";
-}
-
-/// Switch-dispatch interpreter over a 64-slot bytecode vector.
-std::string interpSource(int Outer) {
-  std::string Code = "code: .word";
-  int Slot = 0;
-  int Remaining[] = {38, 12, 6, 6, 1, 1};
-  while (Slot < 63) {
-    int Pick = (Slot * 5 + 3) % 6;
-    for (int Try = 0; Try != 6; ++Try, Pick = (Pick + 1) % 6)
-      if (Remaining[Pick] > 0)
-        break;
-    --Remaining[Pick];
-    Code += " " + std::to_string(Pick * 4);
-    ++Slot;
-  }
-  Code += " 24\n";
-  return R"(
-    .entry main
-  )" + Code + R"(
-    optable: .word op0 op1 op2 op3 op4 op5 oploop
-    main:
-      mov esi, 0
-      mov edi, )" + std::to_string(Outer) + R"(
-      mov ebx, 0
-    fetch:
-      mov ecx, [code+ebx]
-      add ebx, 4
-      jmp [optable+ecx]
-    op0:
-      add esi, 1
-      jmp fetch
-    op1:
-      add esi, 17
-      jmp fetch
-    op2:
-      add esi, 257
-      jmp fetch
-    op3:
-      add esi, 4097
-      jmp fetch
-    op4:
-      add esi, 65537
-      jmp fetch
-    op5:
-      and esi, 0xFFFFFF
-      jmp fetch
-    oploop:
-      mov ebx, 0
-      dec edi
-      jnz fetch
-      and esi, 0xFFFFFF
-      mov ebx, esi
-      mov eax, 2
-      int 0x80
-      mov ebx, 0
-      mov eax, 1
-      int 0x80
-  )";
-}
-
-/// One run of \p Prog in the given sideline mode (-1 = no sideline at
-/// all), returning total simulated cycles; aborts on any transparency or
-/// execution failure.
-uint64_t runMode(const char *Name, const Program &Prog, int Mode,
-                 const std::string &Expected) {
-  Machine M;
-  if (!loadProgram(M, Prog)) {
-    errs().printf("%s: program too large\n", Name);
-    std::abort();
-  }
-  RlrClient Inner;
-  RunResult R;
-  if (Mode < 0) {
-    Runtime RT(M, RuntimeConfig::full());
-    R = RT.run();
-  } else {
-    SidelineOptimizer Side(Inner,
-                           Mode ? SidelineMode::Async : SidelineMode::Sync);
-    RuntimeConfig Config = RuntimeConfig::full();
-    if (Mode)
-      Config.SidelinePump = &Side;
-    Runtime RT(M, Config, &Side);
-    R = runWithSideline(RT, Side);
-  }
-  if (R.Status != RunStatus::Exited || M.output() != Expected) {
-    errs().printf("%s: mode %d not transparent\n", Name, Mode);
-    std::abort();
-  }
-  return R.Cycles;
-}
-
 } // namespace
 
 int main() {
@@ -260,37 +91,5 @@ int main() {
     }
   }
 
-  // Sweep 2: off vs sync sideline vs async sideline on the
-  // indirect-branch-heavy trio. Steady state is the whole (short) run
-  // here; async publication must never cost more than sync replacement.
-  struct Spec {
-    const char *Name;
-    std::string Source;
-  };
-  const Spec Specs[] = {{"vdispatch", vdispatchSource(600)},
-                        {"rettree", rettreeSource(1300)},
-                        {"interp", interpSource(80)}};
-  OS.printf("\nsync vs async sideline publication (simulated cycles; "
-            "optimizer = load removal)\n\n");
-  OS.printf("%-12s %12s %12s %12s\n", "workload", "off", "sync", "async");
-  for (const Spec &S : Specs) {
-    Program Prog;
-    std::string Error;
-    if (!assemble(S.Source, Prog, Error)) {
-      errs().printf("%s: assembly failed: %s\n", S.Name, Error.c_str());
-      return 1;
-    }
-    Outcome Native = runNativeProgram(Prog);
-    uint64_t Off = runMode(S.Name, Prog, -1, Native.Output);
-    uint64_t Sync = runMode(S.Name, Prog, 0, Native.Output);
-    uint64_t Async = runMode(S.Name, Prog, 1, Native.Output);
-    OS.printf("%-12s %12llu %12llu %12llu\n", S.Name,
-              (unsigned long long)Off, (unsigned long long)Sync,
-              (unsigned long long)Async);
-    if (Async > Sync) {
-      errs().printf("%s: async steady-state cycles exceed sync\n", S.Name);
-      return 1;
-    }
-  }
   return 0;
 }

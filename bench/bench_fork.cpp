@@ -22,21 +22,13 @@
 /// RSS are machine-dependent): spawning the 32-tenant fleet should cost
 /// under 10% of 32 cold warm-ups, and each tenant's incremental resident
 /// memory should stay under 5% of a flat (pre-CoW, eagerly allocated)
-/// machine image. bench_compare.py gates the simulated cycles bit-exact and
-/// prints the host-side columns informationally.
+/// machine image. bench_compare.py gates the simulated columns bit-exact and
+/// displays the host-side (*_ns, *_kb) columns only.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/Runtime.h"
+#include "BenchCommon.h"
 #include "core/ThreadedRunner.h"
-#include "harness/Experiment.h"
-#include "support/OutStream.h"
-
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
-#include <vector>
 
 #include <unistd.h>
 #if defined(__GLIBC__)
@@ -44,6 +36,7 @@
 #endif
 
 using namespace rio;
+using namespace rio::bench;
 
 namespace {
 
@@ -53,19 +46,26 @@ struct Sample {
   std::string Config;      ///< workload name
   uint64_t Cycles;         ///< simulated steady-state cycles/tenant — gated
   uint64_t CyclesWarmup;   ///< simulated cycles of the cold first run
-  uint64_t CowPages;       ///< pages a tenant privatized (schema marker)
+  uint64_t CowPages;       ///< pages a tenant privatized
   uint64_t Unshares;       ///< fork_cache_unshares summed over the fleet
   uint64_t SpawnNs;        ///< host ns to fork the whole fleet, warn-only
   uint64_t ColdNs;         ///< host ns for NumTenants cold warm-ups, warn-only
   uint64_t RssPerTenantKb; ///< resident KB each live tenant added, warn-only
   uint64_t ColdRssKb;      ///< resident KB one cold Machine+Runtime holds
-};
 
-uint64_t nowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+  Row row() const {
+    return Row(Config)
+        .add("cycles", Cycles)
+        .add("cycles_warmup", CyclesWarmup)
+        .add("cow_pages", CowPages)
+        .add("unshares", Unshares)
+        .add("tenants", NumTenants)
+        .add("spawn_ns", SpawnNs)
+        .add("cold_ns", ColdNs)
+        .add("rss_per_tenant_kb", RssPerTenantKb)
+        .add("cold_rss_kb", ColdRssKb);
+  }
+};
 
 /// Current resident set in KB (/proc/self/statm field 2). Current rather
 /// than peak: the fleet stays alive across the measurement, so its pages
@@ -88,11 +88,6 @@ void trimHeap() {
 #if defined(__GLIBC__)
   malloc_trim(0);
 #endif
-}
-
-void die(const std::string &Msg) {
-  errs().printf("bench_fork: %s\n", Msg.c_str());
-  std::abort();
 }
 
 /// One warmed Machine+Runtime pair, kept alive for footprint accounting.
@@ -212,31 +207,6 @@ Sample measure(const std::string &Name, const Program &Prog) {
   return Out;
 }
 
-bool writeJson(const char *Path, const std::vector<Sample> &Samples) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    return false;
-  std::fprintf(F, "[\n");
-  for (size_t Idx = 0; Idx != Samples.size(); ++Idx) {
-    const Sample &S = Samples[Idx];
-    std::fprintf(
-        F,
-        "  {\"config\": \"%s\", \"cycles\": %llu, \"cycles_warmup\": %llu, "
-        "\"cow_pages\": %llu, \"unshares\": %llu, \"tenants\": %u, "
-        "\"spawn_ns\": %llu, \"cold_ns\": %llu, \"rss_per_tenant_kb\": %llu, "
-        "\"cold_rss_kb\": %llu}%s\n",
-        S.Config.c_str(), (unsigned long long)S.Cycles,
-        (unsigned long long)S.CyclesWarmup, (unsigned long long)S.CowPages,
-        (unsigned long long)S.Unshares, NumTenants,
-        (unsigned long long)S.SpawnNs, (unsigned long long)S.ColdNs,
-        (unsigned long long)S.RssPerTenantKb, (unsigned long long)S.ColdRssKb,
-        Idx + 1 == Samples.size() ? "" : ",");
-  }
-  std::fprintf(F, "]\n");
-  std::fclose(F);
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -250,13 +220,10 @@ int main(int Argc, char **Argv) {
             "cycles/tenant", "warmup_cyc", "pages", "spawn_ns", "cold_ns",
             "rss_kb", "cold_kb");
 
-  std::vector<Sample> Samples;
+  std::vector<Row> Rows;
   bool HostWarned = false;
   for (const char *Name : {"crafty", "vpr", "gap"}) {
-    const Workload *W = findWorkload(Name);
-    if (!W)
-      die(std::string("unknown workload ") + Name);
-    Sample S = measure(Name, buildWorkload(*W, 0));
+    Sample S = measure(Name, workloadProgram(Name));
     OS.printf("%-10s %12llu %12llu %5llu %12llu %12llu %8llu %8llu\n",
               S.Config.c_str(), (unsigned long long)S.Cycles,
               (unsigned long long)S.CyclesWarmup,
@@ -288,16 +255,12 @@ int main(int Argc, char **Argv) {
                 (unsigned long long)FlatKb);
       HostWarned = true;
     }
-    Samples.push_back(std::move(S));
+    Rows.push_back(S.row());
   }
   if (!HostWarned)
     OS.printf("\nhost-side: fleet spawn under 10%% of cold warm-up time, "
               "tenant RSS under 5%% of a flat machine image\n");
 
-  if (!writeJson(OutPath, Samples)) {
-    errs().printf("cannot write %s\n", OutPath);
-    return 1;
-  }
-  OS.printf("wrote %s\n", OutPath);
+  writeRows(OutPath, Rows);
   return 0;
 }

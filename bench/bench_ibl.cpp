@@ -14,195 +14,28 @@
 /// global IBL when the chains are off) and reports simulated cycles plus
 /// the ib_inline_* counters.
 ///
-/// Emits BENCH_ibl.json in the "simulated" schema ({config, cycles, ...})
-/// for scripts/bench_compare.py, and exits non-zero if the aggregate
-/// on-vs-off cycle reduction falls under 15% — the chains must pay for
-/// themselves, not just break even.
+/// Writes BENCH_ibl.json and exits non-zero if the aggregate on-vs-off
+/// cycle reduction falls under 15% — the chains must pay for themselves,
+/// not just break even.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "asm/Assembler.h"
-#include "harness/Experiment.h"
-#include "support/OutStream.h"
-
-#include <cstdio>
-#include <string>
-#include <vector>
+#include "BenchCommon.h"
 
 using namespace rio;
+using namespace rio::bench;
 
 namespace {
 
-/// Virtual dispatch: a tight loop over 16 "objects" whose type field
-/// indexes a method table. 13 objects are the hot class, 2 a warm one,
-/// 1 a cold one — the polymorphic-in-name, monomorphic-in-practice shape
-/// inline caches were invented for. The type words are pre-scaled by 4.
-std::string vdispatchSource(int Outer) {
-  return R"(
-    .entry main
-    types: .word 0 0 0 0 0 0 0 4 0 0 0 8 0 0 4 0
-    vtable: .word m0 m1 m2
-    main:
-      mov esi, 0
-      mov ebp, )" + std::to_string(Outer) + R"(
-    outer:
-      mov ebx, 0
-    inner:
-      mov ecx, [types+ebx]
-      jmp [vtable+ecx]
-    m0:
-      add esi, 1
-      jmp mret
-    m1:
-      add esi, 17
-      jmp mret
-    m2:
-      add esi, 257
-      jmp mret
-    mret:
-      add ebx, 4
-      cmp ebx, 64
-      jnz inner
-      and esi, 0xFFFFFF
-      dec ebp
-      jnz outer
-      mov ebx, esi
-      mov eax, 2
-      int 0x80
-      mov ebx, 0
-      mov eax, 1
-      int 0x80
-  )";
-}
-
-/// Ret-heavy call tree: a three-level binary tree of calls, seven returns
-/// per iteration through three ret sites — the root's ret is monomorphic,
-/// the inner node's and the leaf's rets each alternate between two return
-/// points.
-std::string rettreeSource(int Iters) {
-  return R"(
-    .entry main
-    main:
-      mov esi, 0
-      mov edi, )" + std::to_string(Iters) + R"(
-    loop:
-      call a
-      and esi, 0xFFFFFF
-      dec edi
-      jnz loop
-      mov ebx, esi
-      mov eax, 2
-      int 0x80
-      mov ebx, 0
-      mov eax, 1
-      int 0x80
-    a:
-      call b
-      call b
-      add esi, 5
-      ret
-    b:
-      call leaf
-      call leaf
-      add esi, 7
-      ret
-    leaf:
-      add esi, 3
-      ret
-  )";
-}
-
-/// Switch-dispatch interpreter: a 64-instruction bytecode program fetched
-/// through one indirect jump. Opcode frequencies follow the usual
-/// interpreter profile — four hot opcodes cover 60 of 64 slots, the tail
-/// opcodes and the backward-branch pseudo-op stay outside the chain.
-std::string interpSource(int Outer) {
-  // 64 pre-scaled opcode words: 38 x op0, 12 x op1, 6 x op2, 6 x op3,
-  // 1 x op4, 1 x op5, 1 x oploop (which rewinds the bytecode pc) — the
-  // usual interpreter profile, where a handful of opcodes carry the run.
-  std::string Code = "code: .word";
-  int Slot = 0;
-  // Interleave deterministically so hot and cold opcodes alternate the way
-  // a real instruction stream does rather than running in sorted blocks.
-  int Remaining[] = {38, 12, 6, 6, 1, 1};
-  while (Slot < 63) {
-    int Pick = (Slot * 5 + 3) % 6;
-    for (int Try = 0; Try != 6; ++Try, Pick = (Pick + 1) % 6)
-      if (Remaining[Pick] > 0)
-        break;
-    --Remaining[Pick];
-    Code += " " + std::to_string(Pick * 4);
-    ++Slot;
-  }
-  Code += " 24\n"; // last slot: oploop
-  return R"(
-    .entry main
-  )" + Code + R"(
-    optable: .word op0 op1 op2 op3 op4 op5 oploop
-    main:
-      mov esi, 0
-      mov edi, )" + std::to_string(Outer) + R"(
-      mov ebx, 0
-    fetch:
-      mov ecx, [code+ebx]
-      add ebx, 4
-      jmp [optable+ecx]
-    op0:
-      add esi, 1
-      jmp fetch
-    op1:
-      add esi, 17
-      jmp fetch
-    op2:
-      add esi, 257
-      jmp fetch
-    op3:
-      add esi, 4097
-      jmp fetch
-    op4:
-      add esi, 65537
-      jmp fetch
-    op5:
-      and esi, 0xFFFFFF
-      jmp fetch
-    oploop:
-      mov ebx, 0
-      dec edi
-      jnz fetch
-      and esi, 0xFFFFFF
-      mov ebx, esi
-      mov eax, 2
-      int 0x80
-      mov ebx, 0
-      mov eax, 1
-      int 0x80
-  )";
-}
-
-struct Sample {
-  std::string Config;
-  uint64_t Cycles = 0;
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
-  uint64_t Rewrites = 0;
-  uint64_t ChainEvictions = 0;
-};
-
-bool runPair(const char *Name, const std::string &Source,
-             std::vector<Sample> &Samples, uint64_t &OffTotal,
+/// Runs workload \p Name with the IB inline caches off and on, appends both
+/// rows, and adds their cycles to the totals; dies on any transparency or
+/// execution failure.
+void runPair(const char *Name, std::vector<Row> &Rows, uint64_t &OffTotal,
              uint64_t &OnTotal) {
-  OutStream &OS = outs();
-  Program Prog;
-  std::string Error;
-  if (!assemble(Source, Prog, Error)) {
-    OS.printf("%s: assembly failed: %s\n", Name, Error.c_str());
-    return false;
-  }
+  Program Prog = workloadProgram(Name);
   Outcome Native = runNativeProgram(Prog);
-  if (Native.Status != RunStatus::Exited) {
-    OS.printf("%s: native run failed\n", Name);
-    return false;
-  }
+  if (Native.Status != RunStatus::Exited)
+    die(std::string(Name) + ": native run failed");
 
   RuntimeConfig Off = RuntimeConfig::linkIndirect();
   RuntimeConfig On = Off;
@@ -211,60 +44,29 @@ bool runPair(const char *Name, const std::string &Source,
   Outcome OffRun = runUnderRuntime(Prog, Off, ClientKind::None);
   Outcome OnRun = runUnderRuntime(Prog, On, ClientKind::None);
   if (OffRun.Status != RunStatus::Exited || OffRun.Output != Native.Output ||
-      OnRun.Status != RunStatus::Exited || OnRun.Output != Native.Output) {
-    OS.printf("%s: transparency violated\n", Name);
-    return false;
+      OnRun.Status != RunStatus::Exited || OnRun.Output != Native.Output)
+    die(std::string(Name) + ": transparency violated");
+
+  for (const Outcome *O : {&OffRun, &OnRun}) {
+    Row R(std::string(Name) + (O == &OnRun ? "_on" : "_off"));
+    R.add("cycles", O->Cycles);
+    for (const char *Stat : {"ib_inline_hits", "ib_inline_misses",
+                             "ib_inline_rewrites", "ib_inline_chain_evictions"})
+      R.add(Stat, O->Stats.get(Stat));
+    Rows.push_back(std::move(R));
   }
-
-  Sample SOff;
-  SOff.Config = std::string(Name) + "_off";
-  SOff.Cycles = OffRun.Cycles;
-  Samples.push_back(SOff);
-
-  Sample SOn;
-  SOn.Config = std::string(Name) + "_on";
-  SOn.Cycles = OnRun.Cycles;
-  SOn.Hits = OnRun.Stats.get("ib_inline_hits");
-  SOn.Misses = OnRun.Stats.get("ib_inline_misses");
-  SOn.Rewrites = OnRun.Stats.get("ib_inline_rewrites");
-  SOn.ChainEvictions = OnRun.Stats.get("ib_inline_chain_evictions");
-  Samples.push_back(SOn);
-
   OffTotal += OffRun.Cycles;
   OnTotal += OnRun.Cycles;
 
   double Reduction =
       100.0 * (double(OffRun.Cycles) - double(OnRun.Cycles)) /
       double(OffRun.Cycles);
-  OS.printf("%-10s %12llu %12llu %+9.1f%% %8llu %8llu %4llu\n", Name,
-            (unsigned long long)OffRun.Cycles,
-            (unsigned long long)OnRun.Cycles, -Reduction,
-            (unsigned long long)SOn.Hits, (unsigned long long)SOn.Misses,
-            (unsigned long long)SOn.Rewrites);
-  return true;
-}
-
-bool writeJson(const char *Path, const std::vector<Sample> &Samples) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    return false;
-  std::fprintf(F, "[\n");
-  for (size_t Idx = 0; Idx != Samples.size(); ++Idx) {
-    const Sample &S = Samples[Idx];
-    std::fprintf(F,
-                 "  {\"config\": \"%s\", \"cycles\": %llu, "
-                 "\"ib_inline_hits\": %llu, \"ib_inline_misses\": %llu, "
-                 "\"ib_inline_rewrites\": %llu, "
-                 "\"ib_inline_chain_evictions\": %llu}%s\n",
-                 S.Config.c_str(), (unsigned long long)S.Cycles,
-                 (unsigned long long)S.Hits, (unsigned long long)S.Misses,
-                 (unsigned long long)S.Rewrites,
-                 (unsigned long long)S.ChainEvictions,
-                 Idx + 1 == Samples.size() ? "" : ",");
-  }
-  std::fprintf(F, "]\n");
-  std::fclose(F);
-  return true;
+  outs().printf("%-10s %12llu %12llu %+9.1f%% %8llu %8llu %4llu\n", Name,
+                (unsigned long long)OffRun.Cycles,
+                (unsigned long long)OnRun.Cycles, -Reduction,
+                (unsigned long long)OnRun.Stats.get("ib_inline_hits"),
+                (unsigned long long)OnRun.Stats.get("ib_inline_misses"),
+                (unsigned long long)OnRun.Stats.get("ib_inline_rewrites"));
 }
 
 } // namespace
@@ -278,35 +80,22 @@ int main(int Argc, char **Argv) {
   OS.printf("%-10s %12s %12s %10s %8s %8s %4s\n", "workload", "off", "on",
             "delta", "hits", "misses", "rw");
 
-  // Scales are chosen so each workload contributes a comparable share of
-  // off-mode cycles; the aggregate is then a cycle-weighted average over
-  // the three shapes rather than an artifact of iteration counts.
-  std::vector<Sample> Samples;
+  // The workloads' default scales are chosen so each contributes a
+  // comparable share of off-mode cycles; the aggregate is then a
+  // cycle-weighted average over the three shapes rather than an artifact
+  // of iteration counts.
+  std::vector<Row> Rows;
   uint64_t OffTotal = 0, OnTotal = 0;
-  bool Ok = true;
-  Ok &= runPair("vdispatch", vdispatchSource(600), Samples, OffTotal,
-                OnTotal);
-  Ok &= runPair("rettree", rettreeSource(1300), Samples, OffTotal, OnTotal);
-  Ok &= runPair("interp", interpSource(80), Samples, OffTotal, OnTotal);
-  if (!Ok)
-    return 1;
+  for (const char *Name : {"vdispatch", "rettree", "interp"})
+    runPair(Name, Rows, OffTotal, OnTotal);
 
   double Reduction =
       100.0 * (double(OffTotal) - double(OnTotal)) / double(OffTotal);
   OS.printf("\naggregate: off=%llu on=%llu (%.1f%% cycle reduction)\n",
             (unsigned long long)OffTotal, (unsigned long long)OnTotal,
             Reduction);
-
-  if (!writeJson(OutPath, Samples)) {
-    OS.printf("cannot write %s\n", OutPath);
-    return 1;
-  }
-  OS.printf("wrote %s\n", OutPath);
-
-  if (Reduction < 15.0) {
-    OS.printf("FAIL: aggregate reduction %.1f%% is under the 15%% floor\n",
-              Reduction);
-    return 1;
-  }
+  writeRows(OutPath, Rows);
+  if (Reduction < 15.0)
+    die("aggregate reduction under the 15% floor");
   return 0;
 }

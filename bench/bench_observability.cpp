@@ -29,18 +29,13 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "harness/Experiment.h"
+#include "BenchCommon.h"
 #include "support/EventTrace.h"
 #include "support/Metrics.h"
-#include "support/OutStream.h"
 #include "support/Profile.h"
 
-#include <chrono>
-#include <cstdio>
-#include <string>
-#include <vector>
-
 using namespace rio;
+using namespace rio::bench;
 
 namespace {
 
@@ -53,13 +48,17 @@ struct Sample {
   uint64_t WallNs;     ///< best-of-3 host wall clock, informational
   uint64_t Snapshots;  ///< registry snapshots taken (0 unless metrics)
   uint64_t SnapshotNs; ///< best-of-3 host ns spent inside snapshot()
-};
 
-uint64_t nowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+  Row row() const {
+    return Row(Config)
+        .add("mode", Mode)
+        .add("cycles", Cycles)
+        .add("events", Events)
+        .add("samples", Samples)
+        .add("snapshots", Snapshots)
+        .add("snapshot_ns", SnapshotNs);
+  }
+};
 
 /// The metrics state: registry attached, run driven in runFor slices with
 /// a snapshot per boundary (the `riodyn -metrics-interval` loop). Returns
@@ -68,10 +67,8 @@ uint64_t nowNs() {
 uint64_t runMetered(const Program &Prog, const RuntimeConfig &Config,
                     uint64_t &Snapshots, uint64_t &SnapshotNs) {
   Machine M;
-  if (!loadProgram(M, Prog)) {
-    errs().printf("metrics rep: program failed to load\n");
-    std::abort();
-  }
+  if (!loadProgram(M, Prog))
+    die("metrics rep: program failed to load");
   Runtime RT(M, Config);
   MetricsRegistry Reg;
   RT.registerMetrics(Reg, "main");
@@ -86,17 +83,15 @@ uint64_t runMetered(const Program &Prog, const RuntimeConfig &Config,
     ++Snapshots;
     (void)Snap;
   } while (R.QuantumExpired);
-  if (R.Status != RunStatus::Exited) {
-    errs().printf("metrics rep: run did not exit cleanly\n");
-    std::abort();
-  }
+  if (R.Status != RunStatus::Exited)
+    die("metrics rep: run did not exit cleanly");
   return M.cycles();
 }
 
 /// One workload in one observability state, best-of-\p Reps wall clock.
-Sample measure(const Workload &W, const char *Mode, int Reps) {
-  Program Prog = buildWorkload(W, 0);
-  Sample Out{std::string(W.Name) + "_" + Mode, Mode, 0, 0, 0, ~0ull, 0, ~0ull};
+Sample measure(const char *Name, const char *Mode, int Reps) {
+  Program Prog = workloadProgram(Name);
+  Sample Out{std::string(Name) + "_" + Mode, Mode, 0, 0, 0, ~0ull, 0, ~0ull};
   for (int Rep = 0; Rep != Reps; ++Rep) {
     // Fresh sinks per rep so event/sample counts are per-run, not summed.
     EventTrace Trace;
@@ -123,10 +118,8 @@ Sample measure(const Workload &W, const char *Mode, int Reps) {
     uint64_t Start = nowNs();
     Outcome O = runUnderRuntime(Prog, Config, ClientKind::None);
     uint64_t Wall = nowNs() - Start;
-    if (O.Status != RunStatus::Exited) {
-      errs().printf("%s: run did not exit cleanly\n", Out.Config.c_str());
-      std::abort();
-    }
+    if (O.Status != RunStatus::Exited)
+      die(Out.Config + ": run did not exit cleanly");
     Out.Cycles = O.Cycles;
     Out.Events = Trace.totalRecorded();
     Out.Samples = Profiler.totalSamples();
@@ -136,28 +129,6 @@ Sample measure(const Workload &W, const char *Mode, int Reps) {
   if (Out.SnapshotNs == ~0ull)
     Out.SnapshotNs = 0; // non-metrics modes take no snapshots
   return Out;
-}
-
-bool writeJson(const char *Path, const std::vector<Sample> &Samples) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    return false;
-  std::fprintf(F, "[\n");
-  for (size_t Idx = 0; Idx != Samples.size(); ++Idx) {
-    const Sample &S = Samples[Idx];
-    std::fprintf(F,
-                 "  {\"config\": \"%s\", \"mode\": \"%s\", \"cycles\": %llu, "
-                 "\"events\": %llu, \"samples\": %llu, \"snapshots\": %llu, "
-                 "\"snapshot_ns\": %llu}%s\n",
-                 S.Config.c_str(), S.Mode, (unsigned long long)S.Cycles,
-                 (unsigned long long)S.Events, (unsigned long long)S.Samples,
-                 (unsigned long long)S.Snapshots,
-                 (unsigned long long)S.SnapshotNs,
-                 Idx + 1 == Samples.size() ? "" : ",");
-  }
-  std::fprintf(F, "]\n");
-  std::fclose(F);
-  return true;
 }
 
 } // namespace
@@ -172,17 +143,12 @@ int main(int Argc, char **Argv) {
 
   const char *Workloads[] = {"crafty", "vpr", "gap"};
   const char *Modes[] = {"off", "idle", "recording", "metrics"};
-  std::vector<Sample> Samples;
+  std::vector<Row> Rows;
   bool CyclesIdentical = true;
   for (const char *Name : Workloads) {
-    const Workload *W = findWorkload(Name);
-    if (!W) {
-      OS.printf("unknown workload '%s'\n", Name);
-      return 1;
-    }
     uint64_t OffCycles = 0;
     for (const char *Mode : Modes) {
-      Sample S = measure(*W, Mode, 3);
+      Sample S = measure(Name, Mode, 3);
       OS.printf("%-20s %12llu %10llu %9llu %12llu %10llu %12llu\n",
                 S.Config.c_str(), (unsigned long long)S.Cycles,
                 (unsigned long long)S.Events, (unsigned long long)S.Samples,
@@ -192,15 +158,11 @@ int main(int Argc, char **Argv) {
         OffCycles = S.Cycles;
       else if (S.Cycles != OffCycles)
         CyclesIdentical = false;
-      Samples.push_back(std::move(S));
+      Rows.push_back(S.row());
     }
   }
 
-  if (!writeJson(OutPath, Samples)) {
-    OS.printf("failed to write %s\n", OutPath);
-    return 1;
-  }
-  OS.printf("\nwrote %s\n", OutPath);
+  writeRows(OutPath, Rows);
   if (!CyclesIdentical) {
     OS.printf("ERROR: simulated cycles drifted between observability "
               "states — instrumentation leaked into the simulated clock\n");

@@ -20,11 +20,12 @@
 ///
 /// The bench hard-asserts the subsystem's contract on the simulated
 /// clock: all three modes are output-transparent, the async schedule is
-/// deterministic for the fixed seed (two runs, bit-identical cycles), and
-/// async steady-state cycles beat sync outright on at least two of the
-/// three workloads (publication is 300 cycles cheaper per trace; the
-/// virtual completion latency can return a sliver of that on a workload
-/// with very few traces).
+/// deterministic for the fixed seed (two runs, bit-identical cycles),
+/// async never costs more than sync on any workload, and async beats sync
+/// outright on at least two of the three (publication is 300 cycles
+/// cheaper per trace; the virtual completion latency can return a sliver
+/// of that on a workload with very few traces). This is also the second
+/// sweep of ablation D (EXPERIMENTS.md).
 ///
 /// Simulated cycles and publication counts are exact and diffable across
 /// commits; bench_compare.py gates them hard. Host wall clock of each
@@ -32,195 +33,35 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "clients/Clients.h"
-#include "core/Runtime.h"
+#include "BenchCommon.h"
 #include "core/Sideline.h"
-#include "harness/Experiment.h"
-#include "support/OutStream.h"
-
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
-#include <vector>
 
 using namespace rio;
+using namespace rio::bench;
 
 namespace {
 
-/// Virtual dispatch: a tight loop over 16 "objects" whose type field
-/// indexes a method table — 13 hot-class objects, 2 warm, 1 cold.
-std::string vdispatchSource(int Outer) {
-  return R"(
-    .entry main
-    types: .word 0 0 0 0 0 0 0 4 0 0 0 8 0 0 4 0
-    vtable: .word m0 m1 m2
-    main:
-      mov esi, 0
-      mov ebp, )" + std::to_string(Outer) + R"(
-    outer:
-      mov ebx, 0
-    inner:
-      mov ecx, [types+ebx]
-      jmp [vtable+ecx]
-    m0:
-      add esi, 1
-      jmp mret
-    m1:
-      add esi, 17
-      jmp mret
-    m2:
-      add esi, 257
-      jmp mret
-    mret:
-      add ebx, 4
-      cmp ebx, 64
-      jnz inner
-      and esi, 0xFFFFFF
-      dec ebp
-      jnz outer
-      mov ebx, esi
-      mov eax, 2
-      int 0x80
-      mov ebx, 0
-      mov eax, 1
-      int 0x80
-  )";
-}
-
-/// Ret-heavy call tree: three levels of calls, seven returns per
-/// iteration through three ret sites.
-std::string rettreeSource(int Iters) {
-  return R"(
-    .entry main
-    main:
-      mov esi, 0
-      mov edi, )" + std::to_string(Iters) + R"(
-    loop:
-      call a
-      and esi, 0xFFFFFF
-      dec edi
-      jnz loop
-      mov ebx, esi
-      mov eax, 2
-      int 0x80
-      mov ebx, 0
-      mov eax, 1
-      int 0x80
-    a:
-      call b
-      call b
-      add esi, 5
-      ret
-    b:
-      call leaf
-      call leaf
-      add esi, 7
-      ret
-    leaf:
-      add esi, 3
-      ret
-  )";
-}
-
-/// Switch-dispatch interpreter: 64 bytecode slots fetched through one
-/// indirect jump, four hot opcodes covering 60 of them.
-std::string interpSource(int Outer) {
-  std::string Code = "code: .word";
-  int Slot = 0;
-  int Remaining[] = {38, 12, 6, 6, 1, 1};
-  while (Slot < 63) {
-    int Pick = (Slot * 5 + 3) % 6;
-    for (int Try = 0; Try != 6; ++Try, Pick = (Pick + 1) % 6)
-      if (Remaining[Pick] > 0)
-        break;
-    --Remaining[Pick];
-    Code += " " + std::to_string(Pick * 4);
-    ++Slot;
-  }
-  Code += " 24\n"; // last slot: oploop
-  return R"(
-    .entry main
-  )" + Code + R"(
-    optable: .word op0 op1 op2 op3 op4 op5 oploop
-    main:
-      mov esi, 0
-      mov edi, )" + std::to_string(Outer) + R"(
-      mov ebx, 0
-    fetch:
-      mov ecx, [code+ebx]
-      add ebx, 4
-      jmp [optable+ecx]
-    op0:
-      add esi, 1
-      jmp fetch
-    op1:
-      add esi, 17
-      jmp fetch
-    op2:
-      add esi, 257
-      jmp fetch
-    op3:
-      add esi, 4097
-      jmp fetch
-    op4:
-      add esi, 65537
-      jmp fetch
-    op5:
-      and esi, 0xFFFFFF
-      jmp fetch
-    oploop:
-      mov ebx, 0
-      dec edi
-      jnz fetch
-      and esi, 0xFFFFFF
-      mov ebx, esi
-      mov eax, 2
-      int 0x80
-      mov ebx, 0
-      mov eax, 1
-      int 0x80
-  )";
-}
-
-struct Sample {
-  std::string Config;  ///< <workload>_{off,sync,async}
-  uint64_t Cycles = 0; ///< simulated, full run — exact, gated
-  uint64_t Published = 0;  ///< versions published (0 for off/sync)
-  uint64_t StaleDrops = 0; ///< queued work invalidated before publication
-  uint64_t Traces = 0;     ///< traces built
-  uint64_t HostNs = 0;     ///< host wall clock, informational only
-};
-
-uint64_t nowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-void die(const std::string &Msg) {
-  errs().printf("bench_sideline: %s\n", Msg.c_str());
-  std::abort();
-}
-
 enum class Mode { Off, Sync, Async };
 
-Sample runOnce(const std::string &Name, const Program &Prog, Mode Which,
-               const std::string &Expected) {
-  Sample Out;
-  Out.Config = Name + (Which == Mode::Off     ? "_off"
-                       : Which == Mode::Sync  ? "_sync"
-                                              : "_async");
+/// One run of \p Prog in mode \p Which: simulated cycles, publication and
+/// stale-drop counts, traces built, and host wall clock. Dies on any
+/// transparency or execution failure.
+Row runOnce(const std::string &Name, const Program &Prog, Mode Which,
+            const std::string &Expected) {
+  Row Out(Name + (Which == Mode::Off    ? "_off"
+                  : Which == Mode::Sync ? "_sync"
+                                        : "_async"));
   Machine M;
   if (!loadProgram(M, Prog))
     die(Name + ": program too large");
   RlrClient Inner;
   uint64_t T0 = nowNs();
   RunResult R;
+  uint64_t Published = 0, StaleDrops = 0, Traces = 0;
   if (Which == Mode::Off) {
     Runtime RT(M, RuntimeConfig::full());
     R = RT.run();
-    Out.Traces = RT.stats().get("traces_built");
+    Traces = RT.stats().get("traces_built");
   } else {
     SidelineOptimizer Sideline(Inner,
                                Which == Mode::Async ? SidelineMode::Async
@@ -230,39 +71,20 @@ Sample runOnce(const std::string &Name, const Program &Prog, Mode Which,
       Config.SidelinePump = &Sideline;
     Runtime RT(M, Config, &Sideline);
     R = runWithSideline(RT, Sideline);
-    Out.Published = Sideline.versionsPublished();
-    Out.StaleDrops = Sideline.staleDrops();
-    Out.Traces = RT.stats().get("traces_built");
+    Published = Sideline.versionsPublished();
+    StaleDrops = Sideline.staleDrops();
+    Traces = RT.stats().get("traces_built");
   }
-  Out.HostNs = nowNs() - T0;
+  uint64_t HostNs = nowNs() - T0;
   if (R.Status != RunStatus::Exited)
-    die(Out.Config + ": run did not exit: " + R.FaultReason);
+    die(Out.config() + ": run did not exit: " + R.FaultReason);
   if (M.output() != Expected)
-    die(Out.Config + ": transparency violated");
-  Out.Cycles = R.Cycles;
-  return Out;
-}
-
-bool writeJson(const char *Path, const std::vector<Sample> &Samples) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    return false;
-  std::fprintf(F, "[\n");
-  for (size_t Idx = 0; Idx != Samples.size(); ++Idx) {
-    const Sample &S = Samples[Idx];
-    std::fprintf(F,
-                 "  {\"config\": \"%s\", \"cycles\": %llu, "
-                 "\"published\": %llu, \"stale_drops\": %llu, "
-                 "\"traces\": %llu, \"host_ns\": %llu}%s\n",
-                 S.Config.c_str(), (unsigned long long)S.Cycles,
-                 (unsigned long long)S.Published,
-                 (unsigned long long)S.StaleDrops,
-                 (unsigned long long)S.Traces, (unsigned long long)S.HostNs,
-                 Idx + 1 == Samples.size() ? "" : ",");
-  }
-  std::fprintf(F, "]\n");
-  std::fclose(F);
-  return true;
+    die(Out.config() + ": transparency violated");
+  return Out.add("cycles", R.Cycles)
+      .add("published", Published)
+      .add("stale_drops", StaleDrops)
+      .add("traces", Traces)
+      .add("host_ns", HostNs);
 }
 
 } // namespace
@@ -275,59 +97,49 @@ int main(int Argc, char **Argv) {
   OS.printf("%-10s %12s %12s %12s %6s %6s\n", "workload", "off", "sync",
             "async", "pub", "drop");
 
-  struct Spec {
-    const char *Name;
-    std::string Source;
-  };
-  const Spec Specs[] = {{"vdispatch", vdispatchSource(600)},
-                        {"rettree", rettreeSource(1300)},
-                        {"interp", interpSource(80)}};
-
-  std::vector<Sample> Samples;
+  std::vector<Row> Rows;
   int AsyncWins = 0;
-  for (const Spec &S : Specs) {
-    Program Prog;
-    std::string Error;
-    if (!assemble(S.Source, Prog, Error))
-      die(std::string(S.Name) + ": assembly failed: " + Error);
+  for (const char *Name : {"vdispatch", "rettree", "interp"}) {
+    Program Prog = workloadProgram(Name);
     Outcome Native = runNativeProgram(Prog);
     if (Native.Status != RunStatus::Exited)
-      die(std::string(S.Name) + ": native run failed");
+      die(std::string(Name) + ": native run failed");
 
-    Sample Off = runOnce(S.Name, Prog, Mode::Off, Native.Output);
-    Sample Sync = runOnce(S.Name, Prog, Mode::Sync, Native.Output);
-    Sample Async = runOnce(S.Name, Prog, Mode::Async, Native.Output);
+    Row Off = runOnce(Name, Prog, Mode::Off, Native.Output);
+    Row Sync = runOnce(Name, Prog, Mode::Sync, Native.Output);
+    Row Async = runOnce(Name, Prog, Mode::Async, Native.Output);
 
     // The virtual-completion schedule is seeded: a second async run must
     // land on the identical simulated cycle count.
-    Sample Again = runOnce(S.Name, Prog, Mode::Async, Native.Output);
-    if (Again.Cycles != Async.Cycles || Again.Published != Async.Published)
-      die(std::string(S.Name) + ": async schedule is not deterministic");
+    Row Again = runOnce(Name, Prog, Mode::Async, Native.Output);
+    if (Again.get("cycles") != Async.get("cycles") ||
+        Again.get("published") != Async.get("published"))
+      die(std::string(Name) + ": async schedule is not deterministic");
 
-    if (Sync.Published != 0)
-      die(std::string(S.Name) + ": sync sideline published versions");
-    if (Async.Published == 0)
-      die(std::string(S.Name) + ": async sideline published nothing");
-    AsyncWins += Async.Cycles < Sync.Cycles;
+    if (Sync.get("published") != 0)
+      die(std::string(Name) + ": sync sideline published versions");
+    if (Async.get("published") == 0)
+      die(std::string(Name) + ": async sideline published nothing");
+    // Publication charges SidelinePublishCost instead of
+    // FragmentReplaceCost, so async may never cost more than sync.
+    if (Async.get("cycles") > Sync.get("cycles"))
+      die(std::string(Name) + ": async cycles exceed sync");
+    AsyncWins += Async.get("cycles") < Sync.get("cycles");
 
-    OS.printf("%-10s %12llu %12llu %12llu %6llu %6llu\n", S.Name,
-              (unsigned long long)Off.Cycles, (unsigned long long)Sync.Cycles,
-              (unsigned long long)Async.Cycles,
-              (unsigned long long)Async.Published,
-              (unsigned long long)Async.StaleDrops);
-    Samples.push_back(std::move(Off));
-    Samples.push_back(std::move(Sync));
-    Samples.push_back(std::move(Async));
+    OS.printf("%-10s %12llu %12llu %12llu %6llu %6llu\n", Name,
+              (unsigned long long)Off.get("cycles"),
+              (unsigned long long)Sync.get("cycles"),
+              (unsigned long long)Async.get("cycles"),
+              (unsigned long long)Async.get("published"),
+              (unsigned long long)Async.get("stale_drops"));
+    Rows.push_back(std::move(Off));
+    Rows.push_back(std::move(Sync));
+    Rows.push_back(std::move(Async));
   }
 
   OS.printf("\nasync beat sync outright on %d of 3 workloads\n", AsyncWins);
   if (AsyncWins < 2)
     die("async steady-state cycles must beat sync on at least 2 workloads");
-
-  if (!writeJson(OutPath, Samples)) {
-    errs().printf("cannot write %s\n", OutPath);
-    return 1;
-  }
-  OS.printf("wrote %s\n", OutPath);
+  writeRows(OutPath, Rows);
   return 0;
 }

@@ -26,80 +26,16 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchCommon.h"
 #include "core/ThreadedRunner.h"
-#include "harness/Experiment.h"
-#include "support/OutStream.h"
 
-#include <cstdio>
 #include <map>
 #include <set>
-#include <string>
-#include <vector>
 
 using namespace rio;
+using namespace rio::bench;
 
 namespace {
-
-/// N workers, all running the SAME routine: each discovers its slot via
-/// gettid, so the whole worker path (loop + shared_fn) is common code.
-Program sharedWorkProgram(int Workers, int Iters) {
-  std::string S = R"(
-    results: .space 32
-    flags:   .space 32
-    stacks:  .space 8192
-    main:
-  )";
-  for (int W = 0; W != Workers; ++W) {
-    S += "  mov ebx, worker\n";
-    S += "  mov ecx, stacks+" + std::to_string((W + 1) * 1024) + "\n";
-    S += "  mov eax, 5\n  int 0x80\n"; // thread_create
-  }
-  S += "join:\n";
-  for (int W = 0; W != Workers; ++W) {
-    S += "  mov eax, [flags+" + std::to_string(W * 4) + "]\n";
-    S += "  test eax, eax\n  jz join\n";
-  }
-  S += "  mov esi, 0\n";
-  for (int W = 0; W != Workers; ++W)
-    S += "  add esi, [results+" + std::to_string(W * 4) + "]\n";
-  S += "  and esi, 0xFFFFFF\n";
-  S += "  mov ebx, esi\n  mov eax, 2\n  int 0x80\n";
-  S += "  mov ebx, 0\n  mov eax, 1\n  int 0x80\n";
-  S += R"(
-    worker:
-      mov eax, 7
-      int 0x80          ; gettid -> 1..N
-      dec eax
-      shl eax, 2
-      mov edi, eax      ; result/flag byte offset
-      mov esi, 0
-      mov ecx, )" + std::to_string(Iters) + R"(
-    wloop:
-      mov eax, ecx
-      call shared_fn
-      add esi, eax
-      and esi, 0xFFFFFF
-      dec ecx
-      jnz wloop
-      mov [results+edi], esi
-      mov eax, 1
-      mov [flags+edi], eax
-      mov eax, 6
-      int 0x80          ; thread_exit
-    shared_fn:
-      imul eax, eax, 17
-      and eax, 1023
-      add eax, 3
-      ret
-  )";
-  Program Prog;
-  std::string Error;
-  if (!assemble(S, Prog, Error)) {
-    errs().printf("assembly failed: %s\n", Error.c_str());
-    std::abort();
-  }
-  return Prog;
-}
 
 struct ModeSample {
   std::string Config; ///< e.g. "private_w4"
@@ -114,6 +50,21 @@ struct ModeSample {
   uint64_t IblHits = 0;
   uint64_t TraceHeads = 0;
   uint64_t ContextSwaps = 0;
+
+  Row row() const {
+    return Row(Config)
+        .add("workers", Workers)
+        .add("mode", Mode)
+        .add("cycles", Cycles)
+        .add("native_cycles", NativeCycles)
+        .add("cache_bytes", CacheBytes)
+        .add("fragments", Fragments)
+        .add("duplicated_fragments", DuplicatedFragments)
+        .add("ibl_lookups", IblLookups)
+        .add("ibl_hits", IblHits)
+        .add("trace_heads", TraceHeads)
+        .add("context_swaps", ContextSwaps);
+  }
 };
 
 /// Runs \p Prog under \p Sharing and fills a sample; returns false on any
@@ -162,33 +113,6 @@ bool measureMode(const Program &Prog, CacheSharing Sharing,
   return true;
 }
 
-bool writeJson(const char *Path, const std::vector<ModeSample> &Samples) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    return false;
-  std::fprintf(F, "[\n");
-  for (size_t Idx = 0; Idx != Samples.size(); ++Idx) {
-    const ModeSample &S = Samples[Idx];
-    std::fprintf(
-        F,
-        "  {\"config\": \"%s\", \"workers\": %d, \"mode\": \"%s\", "
-        "\"cycles\": %llu, \"native_cycles\": %llu, \"cache_bytes\": %llu, "
-        "\"fragments\": %llu, \"duplicated_fragments\": %llu, "
-        "\"ibl_lookups\": %llu, \"ibl_hits\": %llu, \"trace_heads\": %llu, "
-        "\"context_swaps\": %llu}%s\n",
-        S.Config.c_str(), S.Workers, S.Mode, (unsigned long long)S.Cycles,
-        (unsigned long long)S.NativeCycles, (unsigned long long)S.CacheBytes,
-        (unsigned long long)S.Fragments,
-        (unsigned long long)S.DuplicatedFragments,
-        (unsigned long long)S.IblLookups, (unsigned long long)S.IblHits,
-        (unsigned long long)S.TraceHeads, (unsigned long long)S.ContextSwaps,
-        Idx + 1 == Samples.size() ? "" : ",");
-  }
-  std::fprintf(F, "]\n");
-  std::fclose(F);
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -201,10 +125,10 @@ int main(int Argc, char **Argv) {
             "vs native", "cachebyte", "frags", "dupfrag", "traces",
             "ctxswaps");
 
-  std::vector<ModeSample> Samples;
+  std::vector<Row> Rows;
   bool SharedAlwaysSmaller = true;
   for (int Workers : {2, 4, 7}) {
-    Program Prog = sharedWorkProgram(Workers, 40000);
+    Program Prog = workloadProgram("sharedwork", Workers);
 
     Machine Native;
     loadProgram(Native, Prog);
@@ -235,15 +159,11 @@ int main(int Argc, char **Argv) {
         PrivateBytes = S.CacheBytes;
       else if (S.CacheBytes >= PrivateBytes)
         SharedAlwaysSmaller = false;
-      Samples.push_back(std::move(S));
+      Rows.push_back(S.row());
     }
   }
 
-  if (!writeJson(OutPath, Samples)) {
-    OS.printf("failed to write %s\n", OutPath);
-    return 1;
-  }
-  OS.printf("\nwrote %s\n", OutPath);
+  writeRows(OutPath, Rows);
   OS.printf("\nShared mode builds each fragment once (zero duplication, "
             "fewer total\ncache bytes) but pays a slot-window swap per "
             "quantum switch; private\nmode duplicates the worker code per "

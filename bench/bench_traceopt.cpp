@@ -27,174 +27,56 @@
 /// guard ever fails on these stable workloads, and the non-speculative tier
 /// alone cuts aggregate simulated cycles by at least 10% against base.
 ///
+/// A pass ablation follows (rows combo_<passes>): the combo workload, whose
+/// loop carries one instance of every pattern the pipeline targets, runs
+/// under the traceopt mode with no pass, each single pass, and all passes.
+/// Each pass alone must beat the empty pipeline outright, and the full
+/// pipeline must be at least as good as every single pass.
+///
 /// Simulated cycles, publication, guard, and deopt counts are exact and
 /// diffable across commits; bench_compare.py gates them hard. Host wall
 /// clock is reported informationally only.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "clients/Clients.h"
-#include "core/Runtime.h"
+#include "BenchCommon.h"
 #include "core/Sideline.h"
 #include "core/TraceOpt.h"
-#include "harness/Experiment.h"
-#include "support/OutStream.h"
 #include "support/Profile.h"
 
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
-#include <vector>
+#include <algorithm>
 
 using namespace rio;
+using namespace rio::bench;
 
 namespace {
 
-/// Redundant-load heavy: five loads per iteration from two sites, three of
-/// them removable by forwarding, the remaining two foldable to immediates
-/// once the speculative tier pins [a] and [b].
-std::string redloadSource(int Iters) {
-  return R"(
-    .entry main
-    a: .word 7
-    b: .word 11
-    main:
-      mov esi, 0
-      mov ebp, )" + std::to_string(Iters) + R"(
-    loop:
-      mov eax, [a]
-      add esi, eax
-      mov ecx, [a]
-      add esi, ecx
-      mov edx, [a]
-      add esi, edx
-      mov eax, [b]
-      add esi, eax
-      mov ecx, [b]
-      add esi, ecx
-      and esi, 0xFFFFFF
-      dec ebp
-      jnz loop
-      mov ebx, esi
-      mov eax, 2
-      int 0x80
-      mov ebx, 0
-      mov eax, 1
-      int 0x80
-  )";
-}
-
-/// inc/dec chains: six convertible incs and one convertible dec per
-/// iteration; the backedge's own dec stays (a CTI follows it immediately,
-/// so the stale carry could escape). Each conversion saves IncDecExtra
-/// cycles under the default Pentium 4 cost model.
-std::string incdecSource(int Iters) {
-  return R"(
-    .entry main
-    main:
-      mov esi, 0
-      mov eax, 0
-      mov ebp, )" + std::to_string(Iters) + R"(
-    loop:
-      inc eax
-      inc eax
-      inc eax
-      inc eax
-      inc eax
-      inc eax
-      dec esi
-      add esi, eax
-      and esi, 0xFFFFFF
-      dec ebp
-      jnz loop
-      mov ebx, esi
-      mov eax, 2
-      int 0x80
-      mov ebx, 0
-      mov eax, 1
-      int 0x80
-  )";
-}
-
-/// Dead stores plus a loop-invariant load: two of three same-slot stores
-/// per iteration are dead, and the two [c] loads collapse to one (to an
-/// immediate once speculation pins the site).
-std::string deadstoreSource(int Iters) {
-  return R"(
-    .entry main
-    t: .word 0
-    c: .word 5
-    main:
-      mov esi, 0
-      mov ebp, )" + std::to_string(Iters) + R"(
-    loop:
-      mov [t], ebp
-      mov [t], esi
-      mov edx, [c]
-      add esi, edx
-      mov edx, [c]
-      add esi, edx
-      mov [t], esi
-      and esi, 0xFFFFFF
-      dec ebp
-      jnz loop
-      mov ebx, esi
-      mov eax, 2
-      int 0x80
-      mov ebx, 0
-      mov eax, 1
-      int 0x80
-  )";
-}
-
-struct Sample {
-  std::string Config;      ///< <workload>_{base,traceopt,spec}
-  uint64_t Cycles = 0;     ///< simulated, full run — exact, gated
-  uint64_t Guards = 0;     ///< guards emitted (0 outside spec)
-  uint64_t Published = 0;  ///< sideline versions published
-  uint64_t Deopts = 0;     ///< guard-failure deoptimizations (must be 0)
-  uint64_t Traces = 0;     ///< traces built
-  uint64_t HostNs = 0;     ///< host wall clock, informational only
-};
-
-uint64_t nowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-void die(const std::string &Msg) {
-  errs().printf("bench_traceopt: %s\n", Msg.c_str());
-  std::abort();
-}
-
 enum class Mode { Base, TraceOpt, Spec };
 
-Sample runOnce(const std::string &Name, const Program &Prog, Mode Which,
-               const std::string &Expected) {
-  Sample Out;
-  Out.Config = Name + (Which == Mode::Base       ? "_base"
-                       : Which == Mode::TraceOpt ? "_traceopt"
-                                                 : "_spec");
+/// One async-sideline run of \p Prog as row \p Config: base runs a no-op
+/// client, traceopt the pipeline configured by \p Opts, spec the pipeline
+/// plus the profile-driven speculative tier. Dies on any transparency or
+/// execution failure.
+Row runOnce(const std::string &Config, const Program &Prog, Mode Which,
+            const TraceOptOptions &Opts, const std::string &Expected) {
   Machine M;
   if (!loadProgram(M, Prog))
-    die(Name + ": program too large");
+    die(Config + ": program too large");
 
   NullClient Null;
-  TraceOptOptions Opts;
-  Opts.Speculate = Which == Mode::Spec;
-  TraceOptClient TraceOpt(Opts);
+  TraceOptOptions RunOpts = Opts;
+  RunOpts.Speculate = Which == Mode::Spec;
+  TraceOptClient TraceOpt(RunOpts);
   Client &Inner =
       Which == Mode::Base ? static_cast<Client &>(Null) : TraceOpt;
 
   SidelineOptimizer Sideline(Inner, SidelineMode::Async);
-  RuntimeConfig Config = RuntimeConfig::full();
-  Config.SidelinePump = &Sideline;
+  RuntimeConfig RTConfig = RuntimeConfig::full();
+  RTConfig.SidelinePump = &Sideline;
   SampleProfile Profiler(200);
   if (Which == Mode::Spec)
-    Config.Profiler = &Profiler;
-  Runtime RT(M, Config, &Sideline);
+    RTConfig.Profiler = &Profiler;
+  Runtime RT(M, RTConfig, &Sideline);
   if (Which == Mode::Spec)
     Profiler.setTraceSampleHook(
         [&RT, &Sideline, &TraceOpt](uint32_t Tag, uint64_t Samples) {
@@ -204,41 +86,25 @@ Sample runOnce(const std::string &Name, const Program &Prog, Mode Which,
 
   uint64_t T0 = nowNs();
   RunResult R = runWithSideline(RT, Sideline);
-  Out.HostNs = nowNs() - T0;
+  uint64_t HostNs = nowNs() - T0;
   if (R.Status != RunStatus::Exited)
-    die(Out.Config + ": run did not exit: " + R.FaultReason);
+    die(Config + ": run did not exit: " + R.FaultReason);
   if (M.output() != Expected)
-    die(Out.Config + ": transparency violated");
-  Out.Cycles = R.Cycles;
-  Out.Guards = TraceOpt.guardsEmitted();
-  Out.Published = Sideline.versionsPublished();
-  Out.Deopts = RT.stats().get("deoptimizations");
-  Out.Traces = RT.stats().get("traces_built");
-  return Out;
+    die(Config + ": transparency violated");
+  return Row(Config)
+      .add("cycles", R.Cycles)
+      .add("guards", TraceOpt.guardsEmitted())
+      .add("published", Sideline.versionsPublished())
+      .add("deopts", RT.stats().get("deoptimizations"))
+      .add("traces", RT.stats().get("traces_built"))
+      .add("host_ns", HostNs);
 }
 
-bool writeJson(const char *Path, const std::vector<Sample> &Samples) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    return false;
-  std::fprintf(F, "[\n");
-  for (size_t Idx = 0; Idx != Samples.size(); ++Idx) {
-    const Sample &S = Samples[Idx];
-    std::fprintf(F,
-                 "  {\"config\": \"%s\", \"cycles\": %llu, "
-                 "\"guards\": %llu, \"published\": %llu, "
-                 "\"deopts\": %llu, \"traces\": %llu, "
-                 "\"host_ns\": %llu}%s\n",
-                 S.Config.c_str(), (unsigned long long)S.Cycles,
-                 (unsigned long long)S.Guards,
-                 (unsigned long long)S.Published,
-                 (unsigned long long)S.Deopts, (unsigned long long)S.Traces,
-                 (unsigned long long)S.HostNs,
-                 Idx + 1 == Samples.size() ? "" : ",");
-  }
-  std::fprintf(F, "]\n");
-  std::fclose(F);
-  return true;
+std::string nativeOutput(const char *Name, const Program &Prog) {
+  Outcome Native = runNativeProgram(Prog);
+  if (Native.Status != RunStatus::Exited)
+    die(std::string(Name) + ": native run failed");
+  return Native.Output;
 }
 
 } // namespace
@@ -251,54 +117,47 @@ int main(int Argc, char **Argv) {
   OS.printf("%-10s %12s %12s %12s %7s %7s\n", "workload", "base", "traceopt",
             "spec", "guards", "deopts");
 
-  struct Spec {
-    const char *Name;
-    std::string Source;
-  };
-  const Spec Specs[] = {{"redload", redloadSource(4000)},
-                        {"incdec", incdecSource(4000)},
-                        {"deadstore", deadstoreSource(4000)}};
-
-  std::vector<Sample> Samples;
-  uint64_t BaseTotal = 0, OptTotal = 0;
-  for (const Spec &S : Specs) {
-    Program Prog;
-    std::string Error;
-    if (!assemble(S.Source, Prog, Error))
-      die(std::string(S.Name) + ": assembly failed: " + Error);
-    Outcome Native = runNativeProgram(Prog);
-    if (Native.Status != RunStatus::Exited)
-      die(std::string(S.Name) + ": native run failed");
-
-    Sample Base = runOnce(S.Name, Prog, Mode::Base, Native.Output);
-    Sample Opt = runOnce(S.Name, Prog, Mode::TraceOpt, Native.Output);
-    Sample Sp = runOnce(S.Name, Prog, Mode::Spec, Native.Output);
+  const TraceOptOptions AllPasses;
+  std::vector<Row> Rows;
+  uint64_t BaseTotal = 0, OptTotal = 0, SpecGuards = 0;
+  for (const char *Name : {"redload", "incdec", "deadstore"}) {
+    Program Prog = workloadProgram(Name);
+    std::string Expected = nativeOutput(Name, Prog);
+    std::string N = Name;
+    Row Base = runOnce(N + "_base", Prog, Mode::Base, AllPasses, Expected);
+    Row Opt =
+        runOnce(N + "_traceopt", Prog, Mode::TraceOpt, AllPasses, Expected);
+    Row Sp = runOnce(N + "_spec", Prog, Mode::Spec, AllPasses, Expected);
 
     // The profile-driven speculation schedule is seeded: a second spec run
     // must land on identical cycles, guards, and publications.
-    Sample Again = runOnce(S.Name, Prog, Mode::Spec, Native.Output);
-    if (Again.Cycles != Sp.Cycles || Again.Guards != Sp.Guards ||
-        Again.Published != Sp.Published)
-      die(std::string(S.Name) + ": spec schedule is not deterministic");
+    Row Again = runOnce(N + "_spec", Prog, Mode::Spec, AllPasses, Expected);
+    for (const char *Key : {"cycles", "guards", "published"})
+      if (Again.get(Key) != Sp.get(Key))
+        die(N + ": spec schedule is not deterministic");
 
-    if (Base.Published == 0)
-      die(std::string(S.Name) + ": base sideline published nothing");
-    if (Opt.Guards != 0)
-      die(std::string(S.Name) + ": non-speculative run emitted guards");
-    if (Sp.Deopts != 0 || Opt.Deopts != 0 || Base.Deopts != 0)
-      die(std::string(S.Name) + ": stable workload deoptimized");
-    if (Opt.Cycles >= Base.Cycles)
-      die(std::string(S.Name) + ": traceopt did not beat base");
+    if (Base.get("published") == 0)
+      die(N + ": base sideline published nothing");
+    if (Opt.get("guards") != 0)
+      die(N + ": non-speculative run emitted guards");
+    if (Sp.get("deopts") != 0 || Opt.get("deopts") != 0 ||
+        Base.get("deopts") != 0)
+      die(N + ": stable workload deoptimized");
+    if (Opt.get("cycles") >= Base.get("cycles"))
+      die(N + ": traceopt did not beat base");
 
-    BaseTotal += Base.Cycles;
-    OptTotal += Opt.Cycles;
-    OS.printf("%-10s %12llu %12llu %12llu %7llu %7llu\n", S.Name,
-              (unsigned long long)Base.Cycles, (unsigned long long)Opt.Cycles,
-              (unsigned long long)Sp.Cycles, (unsigned long long)Sp.Guards,
-              (unsigned long long)Sp.Deopts);
-    Samples.push_back(std::move(Base));
-    Samples.push_back(std::move(Opt));
-    Samples.push_back(std::move(Sp));
+    BaseTotal += Base.get("cycles");
+    OptTotal += Opt.get("cycles");
+    SpecGuards += Sp.get("guards");
+    OS.printf("%-10s %12llu %12llu %12llu %7llu %7llu\n", Name,
+              (unsigned long long)Base.get("cycles"),
+              (unsigned long long)Opt.get("cycles"),
+              (unsigned long long)Sp.get("cycles"),
+              (unsigned long long)Sp.get("guards"),
+              (unsigned long long)Sp.get("deopts"));
+    Rows.push_back(std::move(Base));
+    Rows.push_back(std::move(Opt));
+    Rows.push_back(std::move(Sp));
   }
 
   double Reduction = 100.0 * double(BaseTotal - OptTotal) / double(BaseTotal);
@@ -307,20 +166,55 @@ int main(int Argc, char **Argv) {
             Reduction);
   if (Reduction < 10.0)
     die("non-speculative tier must cut aggregate cycles by at least 10%");
-
   // At least one workload's spec run must actually speculate: guards are
   // the whole point of the tier, and every site here is stable.
-  uint64_t SpecGuards = 0;
-  for (const Sample &S : Samples)
-    if (S.Config.find("_spec") != std::string::npos)
-      SpecGuards += S.Guards;
   if (SpecGuards == 0)
     die("speculative runs emitted no guards at all");
 
-  if (!writeJson(OutPath, Samples)) {
-    errs().printf("cannot write %s\n", OutPath);
-    return 1;
+  // Pass ablation on combo, one pass at a time: each pass alone must beat
+  // the empty pipeline, and the full pipeline must be at least as good as
+  // every single pass — the passes compose, not cannibalize.
+  struct Passes {
+    const char *Name;
+    bool Loads, Consts, Dse, Strength;
+  };
+  const Passes Sweep[] = {
+      {"none", false, false, false, false},
+      {"loads", true, false, false, false},
+      {"consts", false, true, false, false},
+      {"dse", false, false, true, false},
+      {"strength", false, false, false, true},
+      {"all", true, true, true, true},
+  };
+  Program Combo = workloadProgram("combo");
+  std::string ComboExpected = nativeOutput("combo", Combo);
+  OS.printf("\npass ablation on combo\n%-10s %12s %9s\n", "passes",
+            "cycles", "vs none");
+  uint64_t None = 0, All = 0, BestSingle = ~0ull;
+  for (const Passes &P : Sweep) {
+    TraceOptOptions Opts;
+    Opts.RemoveLoads = P.Loads;
+    Opts.FoldConsts = P.Consts;
+    Opts.EliminateDeadStores = P.Dse;
+    Opts.StrengthReduce = P.Strength;
+    Rows.push_back(runOnce(std::string("combo_") + P.Name, Combo,
+                           Mode::TraceOpt, Opts, ComboExpected));
+    uint64_t Cycles = Rows.back().get("cycles");
+    std::string Name = P.Name;
+    if (Name == "none")
+      None = Cycles;
+    else if (Name == "all")
+      All = Cycles;
+    else if (Cycles >= None)
+      die(Name + ": pass did not beat the empty pipeline");
+    else
+      BestSingle = std::min(BestSingle, Cycles);
+    OS.printf("%-10s %12llu %+8.1f%%\n", P.Name, (unsigned long long)Cycles,
+              100.0 * (double(Cycles) - double(None)) / double(None));
   }
-  OS.printf("wrote %s\n", OutPath);
+  if (All > BestSingle)
+    die("full pipeline is worse than the best single pass");
+
+  writeRows(OutPath, Rows);
   return 0;
 }

@@ -153,8 +153,10 @@ void Runtime::mangleForCache(InstrList &IL) {
 
     if (Op == OP_jecxz && I->getSrc(0).isPc()) {
       // jecxz only has a rel8 form and cannot reach an exit stub; bounce
-      // through a nearby trampoline that can:
+      // through a trampoline at the end of the list that can:
       //   jecxz L ; ... ; L: jmp T
+      // If the code in between grows past rel8 reach, emitFragment moves
+      // the trampoline inline (inlineJecxzTrampoline).
       Instr *Local = Instr::createLabel(A);
       Instr *Far =
           Instr::createSynth(A, OP_jmp, {Operand::pc(I->getSrc(0).getPc())});
@@ -169,6 +171,33 @@ void Runtime::mangleForCache(InstrList &IL) {
     assert(Op != OP_call && "unmangled call left in cache-bound list");
     I = Next;
   }
+}
+
+/// Moves the end-of-list trampoline of a mangled guest jecxz next to it:
+///   jecxz L ; jmp Skip ; L: jmp T ; Skip:
+/// The fall-through path pays one extra jmp, so this layout is taken only
+/// for a jecxz whose trampoline is out of rel8 reach. Returns false if
+/// \p Jecxz is not a mangled jecxz or its trampoline is already inline.
+static bool inlineJecxzTrampoline(InstrList &IL, Instr *Jecxz) {
+  if (!Jecxz || Jecxz->getOpcode() != OP_jecxz || !Jecxz->getSrc(0).isInstr())
+    return false;
+  auto *Local = static_cast<Instr *>(Jecxz->getSrc(0).getInstr());
+  Instr *Far = Local->next();
+  if (!Far || Far->getOpcode() != OP_jmp || !Far->getSrc(0).isPc() ||
+      (Jecxz->next() && Jecxz->next()->next() == Local))
+    return false;
+  Arena &A = IL.arena();
+  Instr *Skip = Instr::createLabel(A);
+  Instr *Over = Instr::createSynth(A, OP_jmp, {Operand::pc(0)});
+  Over->setAppAddr(Jecxz->appAddr());
+  Over->setBranchTargetLabel(Skip);
+  IL.remove(Local);
+  IL.remove(Far);
+  IL.insertAfter(Jecxz, Over);
+  IL.insertAfter(Over, Local);
+  IL.insertAfter(Local, Far);
+  IL.insertAfter(Far, Skip);
+  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -219,10 +248,12 @@ Fragment *Runtime::emitFragment(AppPc Tag, InstrList &IL, Fragment::Kind Kind,
 
   // Sizing pass for the body.
   EmitResult Sizing;
-  if (!emitInstrList(IL, /*BaseAddr=*/0x7F000000, nullptr, 0,
-                     /*AllowShortBranches=*/false, Sizing)) {
-    M.fault("fragment body failed to encode");
-    return nullptr;
+  while (!emitInstrList(IL, /*BaseAddr=*/0x7F000000, nullptr, 0,
+                        /*AllowShortBranches=*/false, Sizing)) {
+    if (!inlineJecxzTrampoline(IL, Sizing.Failed)) {
+      M.fault("fragment body failed to encode");
+      return nullptr;
+    }
   }
 
   // Stub layout: stubs follow the body. Each stub is

@@ -297,9 +297,8 @@ void Runtime::ibMaybeRelinkArm(uint32_t SiteCachePc, AppPc Target,
   auto It = IbArmStubSites.find(SiteCachePc);
   if (It == IbArmStubSites.end())
     return;
-  const uint32_t ExitId = It->second;
   {
-    auto [Owner, ExitIdx] = ExitRecords[ExitId];
+    auto [Owner, ExitIdx] = ExitRecords[It->second];
     const FragmentExit &Exit = Owner->Exits[ExitIdx];
     if (Exit.Linked || Owner->Doomed || Exit.TargetTag != Target)
       return;
@@ -309,15 +308,16 @@ void Runtime::ibMaybeRelinkArm(uint32_t SiteCachePc, AppPc Target,
       return;
   }
   if (RIO_UNLIKELY(Tpl != nullptr)) {
-    // Linking patches cache code and link metadata: privatize first. Exit
-    // ids survive unsharing, so refetch through the rebuilt records (the
-    // iterator and fragment pointers above are stale now).
+    // Linking patches cache code and link metadata: privatize first. The
+    // clone keeps stub addresses but renumbers exit ids, so refetch the id
+    // and the fragments through the rebuilt maps.
     ensureUnshared();
+    It = IbArmStubSites.find(SiteCachePc);
     To = lookupFragment(Target);
-    if (!To)
+    if (It == IbArmStubSites.end() || !To)
       return;
   }
-  auto [Owner, ExitIdx] = ExitRecords[ExitId];
+  auto [Owner, ExitIdx] = ExitRecords[It->second];
   FragmentExit &Exit = Owner->Exits[ExitIdx];
   if (Exit.Linked || Owner->Doomed)
     return;

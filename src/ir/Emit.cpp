@@ -89,6 +89,7 @@ bool rio::emitInstrList(InstrList &IL, AppPc BaseAddr, uint8_t *Out,
                         EmitResult &Result) {
   Result.Instrs.clear();
   Result.Offsets.clear();
+  Result.Failed = nullptr;
   for (Instr &I : IL)
     Result.Instrs.push_back(&I);
   size_t N = Result.Instrs.size();
@@ -139,8 +140,10 @@ bool rio::emitInstrList(InstrList &IL, AppPc BaseAddr, uint8_t *Out,
     } else {
       Len = I.isLabel() ? 0 : int(I.rawLength());
     }
-    if (Len < 0)
+    if (Len < 0) {
+      Result.Failed = &I;
       return false;
+    }
     Lengths[Idx] = unsigned(Len);
     Offset += unsigned(Len);
   }
@@ -160,8 +163,10 @@ bool rio::emitInstrList(InstrList &IL, AppPc BaseAddr, uint8_t *Out,
       if (needsReencode(I, BaseAddr + Offset) || I.isLabel()) {
         int NewLen = encodeAt(I, BaseAddr + Offset, BaseAddr, Result,
                               AllowShortBranches, nullptr);
-        if (NewLen < 0)
+        if (NewLen < 0) {
+          Result.Failed = &I;
           return false;
+        }
         if (unsigned(NewLen) <= Len)
           Len = unsigned(NewLen);
         // (A grown branch keeps its conservative size; offsets stay valid.)
@@ -191,8 +196,10 @@ bool rio::emitInstrList(InstrList &IL, AppPc BaseAddr, uint8_t *Out,
     if (needsReencode(I, BaseAddr + At)) {
       int Len = encodeAt(I, BaseAddr + At, BaseAddr, Result,
                          AllowShortBranches, Out + At);
-      if (Len < 0)
+      if (Len < 0) {
+        Result.Failed = &I;
         return false;
+      }
       // A short form may come in under the reserved size; pad with nops so
       // the following instruction lands at its computed offset.
       for (unsigned Pad = unsigned(Len); Pad < Lengths[Idx]; ++Pad)

@@ -30,6 +30,8 @@ struct EmitResult {
   unsigned TotalSize = 0;
   std::vector<Instr *> Instrs;
   std::vector<unsigned> Offsets;
+  /// The instruction that failed to encode, when emission failed on one.
+  Instr *Failed = nullptr;
 
   /// Offset of \p I within the emitted bytes; \p I must be in the list.
   unsigned offsetOf(const Instr *I) const {

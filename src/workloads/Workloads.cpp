@@ -80,7 +80,7 @@ const Workload *rio::findWorkload(const std::string &Name) {
   for (const Workload &W : allWorkloads())
     if (Name == W.Name)
       return &W;
-  for (const Workload &W : cacheWorkloads())
+  for (const Workload &W : microWorkloads())
     if (Name == W.Name)
       return &W;
   return nullptr;

@@ -31,6 +31,7 @@
 #include "core/Runtime.h"
 #include "core/ThreadedRunner.h"
 #include "vm/Memory.h"
+#include "workloads/Workloads.h"
 
 #include <map>
 #include <memory>
@@ -493,6 +494,54 @@ TEST(RuntimeFork, TenantFleetSpawnsIdenticalTenants) {
   M.resetForRun();
   Template.resetThreadForRun();
   EXPECT_EQ(Template.run().Status, RunStatus::Exited);
+}
+
+/// A template frozen after two warm-up runs, whose first tenant run still
+/// lazily links exits and so unshares the cache mid-run. The link must land
+/// on the exit it was resolved for, not on whatever exit record shares its
+/// id in the cloned cache.
+TEST(RuntimeFork, TenantOfTwiceWarmedTemplateUnsharesMidRun) {
+  for (const char *Name : {"vpr", "mcf"})
+    for (int Scale : {28, 32, 40})
+      for (bool Ib : {false, true}) {
+        SCOPED_TRACE(std::string(Name) + " scale " + std::to_string(Scale) +
+                     (Ib ? " IbInline" : ""));
+        Program Prog = buildWorkload(*findWorkload(Name), Scale);
+        RuntimeConfig Config = RuntimeConfig::full();
+        Config.IbInline = Ib;
+        Machine Ref;
+        ASSERT_TRUE(loadProgram(Ref, Prog));
+        Runtime RefRT(Ref, Config);
+        uint64_t C0 = 0;
+        for (int Run = 1; Run <= 3; ++Run) {
+          if (Run > 1) {
+            Ref.resetForRun();
+            RefRT.resetThreadForRun();
+          }
+          C0 = Ref.cycles();
+          ASSERT_EQ(RefRT.run().Status, RunStatus::Exited);
+        }
+        const uint64_t ThirdRun = Ref.cycles() - C0;
+
+        Machine M;
+        ASSERT_TRUE(loadProgram(M, Prog));
+        Runtime Template(M, Config);
+        for (int Run = 1; Run <= 2; ++Run) {
+          ASSERT_EQ(Template.run().Status, RunStatus::Exited);
+          M.resetForRun();
+          Template.resetThreadForRun();
+        }
+        std::string Err;
+        ASSERT_TRUE(Template.freezeTemplate(&Err)) << Err;
+        Machine TenantM(M);
+        auto Tenant = Runtime::forkFrom(Template, TenantM, &Err);
+        ASSERT_NE(Tenant, nullptr) << Err;
+        uint64_t T0 = TenantM.cycles();
+        RunResult R = Tenant->run();
+        ASSERT_EQ(R.Status, RunStatus::Exited) << R.FaultReason;
+        EXPECT_EQ(TenantM.cycles() - T0, ThirdRun);
+        EXPECT_EQ(TenantM.output(), Ref.output());
+      }
 }
 
 //===----------------------------------------------------------------------===//

@@ -257,6 +257,13 @@ TEST_P(TransparencyFuzz, AllConfigsAllClientsMatchNative) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TransparencyFuzz,
                          ::testing::Range(uint64_t(1), uint64_t(61)));
 
+/// Seeds from a 1-1000 sweep whose guest jecxz ended up out of rel8 reach
+/// of its mangling trampoline once clients grew the fragment.
+INSTANTIATE_TEST_SUITE_P(JecxzReach, TransparencyFuzz,
+                         ::testing::Values(97, 148, 176, 180, 213, 310, 442,
+                                           445, 587, 739, 759, 778, 816, 915,
+                                           917));
+
 TEST(Determinism, RepeatRunsAreCycleIdentical) {
   ProgramGen Gen(99);
   Program Prog;

@@ -8,6 +8,7 @@
 #include "TestUtil.h"
 
 #include "core/Runtime.h"
+#include "core/ThreadedRunner.h"
 #include "workloads/Workloads.h"
 
 using namespace rio;
@@ -56,7 +57,29 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("gzip", "vpr", "gcc", "mcf", "crafty", "parser",
                       "perlbmk", "gap", "eon", "vortex", "bzip2", "twolf",
                       "swim", "mgrid", "applu", "equake", "wupwise", "mesa",
-                      "art", "ammp", "sixtrack", "apsi"));
+                      "art", "ammp", "sixtrack", "apsi", "smc",
+                      "cachepressure", "vdispatch", "rettree", "interp",
+                      "redload", "incdec", "deadstore", "combo",
+                      "dataloop"));
+
+/// sharedwork needs the thread scheduler, so it is checked natively and
+/// under the full runtime through the threaded runners.
+TEST(WorkloadThreaded, SharedworkIsTransparent) {
+  const Workload *W = findWorkload("sharedwork");
+  ASSERT_NE(W, nullptr);
+  Program P = buildWorkload(*W, W->TestScale);
+  Machine Native;
+  ASSERT_TRUE(loadProgram(Native, P));
+  ASSERT_EQ(runThreadedNative(Native).Status, RunStatus::Exited);
+  EXPECT_FALSE(Native.output().empty());
+
+  Machine M;
+  ASSERT_TRUE(loadProgram(M, P));
+  ThreadedRunner Runner(M, RuntimeConfig::full());
+  RunResult R = Runner.run();
+  EXPECT_EQ(R.Status, RunStatus::Exited) << R.FaultReason;
+  EXPECT_EQ(M.output(), Native.output());
+}
 
 TEST(WorkloadRegistry, NamesAndGroups) {
   // The paper's suite: SPEC2000 minus the Fortran-90 programs.
