@@ -182,9 +182,13 @@ void Runtime::unshareImpl(Runtime &RT) {
   // 4. Replay the template's frozen image. Clearing Tpl first: the codec
   //    must see a private runtime, and nothing below may recurse into
   //    ensureUnshared(). The relocation delta is zero (same region base),
-  //    so every fragment keeps its cache address — resume pcs and exit ids
-  //    stay valid — and the body writeBlocks privatize exactly the cache
-  //    pages (the machine counts them in cow_page_copies).
+  //    so every fragment keeps its cache address and its per-fragment exit
+  //    indices (resume pcs stay valid), and the body writeBlocks privatize
+  //    exactly the cache pages (the machine counts them in cow_page_copies).
+  //    Exit ids are NOT kept: the image leaves out the exits of fragments
+  //    the template deleted, so the clone renumbers them densely. A caller
+  //    holding an exit id across ensureUnshared() must look it up again, by
+  //    cache address or through the rebuilt IbArmStubSites.
   RT.Tpl = nullptr;
   persist::LoadStatus St =
       persist::CacheCodec::loadClone(RT, T.Frozen.data(), T.Frozen.size());
