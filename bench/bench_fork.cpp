@@ -18,12 +18,12 @@
 ///   * tenants born from a steady-state template never unshare the code
 ///     cache (fork_cache_unshares stays 0), so their pages stay loaned.
 ///
-/// Host-side costs are reported and warned on, never gated (wall clock and
-/// RSS are machine-dependent): spawning the 32-tenant fleet should cost
-/// under 10% of 32 cold warm-ups, and each tenant's incremental resident
-/// memory should stay under 5% of a flat (pre-CoW, eagerly allocated)
-/// machine image. bench_compare.py gates the simulated columns bit-exact and
-/// displays the host-side (*_ns, *_kb) columns only.
+/// Host-side costs are reported, never gated (wall clock and RSS are
+/// machine-dependent): the fleet's spawn time, and each tenant's
+/// incremental resident memory, which is warned on unless it stays under
+/// 5% of a flat (pre-CoW, eagerly allocated) machine image.
+/// bench_compare.py gates the simulated columns bit-exact and displays the
+/// host-side (*_ns, *_kb) columns only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,10 +48,8 @@ struct Sample {
   uint64_t CyclesWarmup;   ///< simulated cycles of the cold first run
   uint64_t CowPages;       ///< pages a tenant privatized
   uint64_t Unshares;       ///< fork_cache_unshares summed over the fleet
-  uint64_t SpawnNs;        ///< host ns to fork the whole fleet, warn-only
-  uint64_t ColdNs;         ///< host ns for NumTenants cold warm-ups, warn-only
+  uint64_t SpawnNs;        ///< host ns to fork the whole fleet
   uint64_t RssPerTenantKb; ///< resident KB each live tenant added, warn-only
-  uint64_t ColdRssKb;      ///< resident KB one cold Machine+Runtime holds
 
   Row row() const {
     return Row(Config)
@@ -61,15 +59,13 @@ struct Sample {
         .add("unshares", Unshares)
         .add("tenants", NumTenants)
         .add("spawn_ns", SpawnNs)
-        .add("cold_ns", ColdNs)
-        .add("rss_per_tenant_kb", RssPerTenantKb)
-        .add("cold_rss_kb", ColdRssKb);
+        .add("rss_per_tenant_kb", RssPerTenantKb);
   }
 };
 
 /// Current resident set in KB (/proc/self/statm field 2). Current rather
 /// than peak: the fleet stays alive across the measurement, so its pages
-/// are resident when read, and two phases can be measured in one process.
+/// are resident when read, and each workload's fleet is measured apart.
 uint64_t rssKb() {
   std::FILE *F = std::fopen("/proc/self/statm", "r");
   if (!F)
@@ -82,35 +78,17 @@ uint64_t rssKb() {
   return uint64_t(Resident) * uint64_t(sysconf(_SC_PAGESIZE)) / 1024;
 }
 
-/// Returns freed heap pages to the kernel so the next phase's RSS delta
-/// measures its own allocations, not reuse of a previous phase's.
+/// Returns freed heap pages to the kernel so the next fleet's RSS delta
+/// measures its own allocations, not reuse of a previous fleet's.
 void trimHeap() {
 #if defined(__GLIBC__)
   malloc_trim(0);
 #endif
 }
 
-/// One warmed Machine+Runtime pair, kept alive for footprint accounting.
-struct ColdInstance {
-  std::unique_ptr<Machine> M;
-  std::unique_ptr<Runtime> RT;
-};
-
-ColdInstance coldWarmup(const std::string &Name, const Program &Prog,
-                        const RuntimeConfig &Config) {
-  ColdInstance C;
-  C.M = std::make_unique<Machine>();
-  if (!loadProgram(*C.M, Prog))
-    die(Name + ": program too large");
-  C.RT = std::make_unique<Runtime>(*C.M, Config);
-  if (C.RT->run().Status != RunStatus::Exited)
-    die(Name + ": cold run did not exit");
-  return C;
-}
-
 Sample measure(const std::string &Name, const Program &Prog) {
   RuntimeConfig Config = RuntimeConfig::full();
-  Sample Out{Name, 0, 0, 0, 0, 0, 0, 0, 0};
+  Sample Out{Name, 0, 0, 0, 0, 0, 0};
 
   // Cold steady-state reference: warm up with two runs (the second settles
   // trace heads and IB links), then measure the third. Its cycle delta and
@@ -149,25 +127,6 @@ Sample measure(const std::string &Name, const Program &Prog) {
   std::string Err;
   if (!Template.freezeTemplate(&Err))
     die(Name + ": freeze refused: " + Err);
-
-  // Cold fleet first: what serving the same NumTenants costs without
-  // forking. Kept alive together while measured, so its resident growth is
-  // the real per-instance footprint; freed and trimmed afterwards so the
-  // tenant fleet's growth below is fresh pages, not recycled cold ones.
-  {
-    const uint64_t RssBeforeCold = rssKb();
-    std::vector<ColdInstance> ColdFleet;
-    ColdFleet.reserve(NumTenants);
-    uint64_t TCold = nowNs();
-    for (unsigned I = 0; I != NumTenants; ++I)
-      ColdFleet.push_back(coldWarmup(Name, Prog, Config));
-    Out.ColdNs = nowNs() - TCold;
-    const uint64_t RssAfterCold = rssKb();
-    Out.ColdRssKb = RssAfterCold > RssBeforeCold
-                        ? (RssAfterCold - RssBeforeCold) / NumTenants
-                        : 0;
-  }
-  trimHeap();
 
   // Fork the fleet — the whole point: NumTenants warmed tenants for the
   // price of page-table copies.
@@ -216,38 +175,26 @@ int main(int Argc, char **Argv) {
             NumTenants);
   OS.printf("per-tenant simulated cycles are exact and must equal a cold "
             "steady-state run\n\n");
-  OS.printf("%-10s %12s %12s %5s %12s %12s %8s %8s\n", "config",
-            "cycles/tenant", "warmup_cyc", "pages", "spawn_ns", "cold_ns",
-            "rss_kb", "cold_kb");
+  OS.printf("%-10s %12s %12s %5s %12s %8s\n", "config", "cycles/tenant",
+            "warmup_cyc", "pages", "spawn_ns", "rss_kb");
 
+  // The footprint bar is what a cold Machine held before copy-on-write
+  // paging: the whole image, eagerly allocated.
+  const MachineConfig MC;
+  const uint64_t FlatKb =
+      (uint64_t(MC.AppRegionSize) + MC.RuntimeRegionSize) / 1024;
   std::vector<Row> Rows;
   bool HostWarned = false;
   for (const char *Name : {"crafty", "vpr", "gap"}) {
     Sample S = measure(Name, workloadProgram(Name));
-    OS.printf("%-10s %12llu %12llu %5llu %12llu %12llu %8llu %8llu\n",
-              S.Config.c_str(), (unsigned long long)S.Cycles,
+    OS.printf("%-10s %12llu %12llu %5llu %12llu %8llu\n", S.Config.c_str(),
+              (unsigned long long)S.Cycles,
               (unsigned long long)S.CyclesWarmup,
               (unsigned long long)S.CowPages, (unsigned long long)S.SpawnNs,
-              (unsigned long long)S.ColdNs,
-              (unsigned long long)S.RssPerTenantKb,
-              (unsigned long long)S.ColdRssKb);
+              (unsigned long long)S.RssPerTenantKb);
 
-    // Host-side claims: warn (never fail) — wall clock and RSS depend on
-    // the machine, the allocator, and what ran before.
-    if (S.SpawnNs * 10 >= S.ColdNs) {
-      OS.printf("WARNING: %s: spawning the fleet cost %llu ns, not under "
-                "10%% of %llu ns of cold warm-ups\n",
-                S.Config.c_str(), (unsigned long long)S.SpawnNs,
-                (unsigned long long)S.ColdNs);
-      HostWarned = true;
-    }
-    // The footprint bar is what a cold Machine held before copy-on-write
-    // paging: the whole image, eagerly allocated. (The measured cold-fleet
-    // RSS is reported alongside but is smaller than that — cold instances
-    // are themselves CoW images now, materializing only written pages.)
-    const MachineConfig MC;
-    const uint64_t FlatKb =
-        (uint64_t(MC.AppRegionSize) + MC.RuntimeRegionSize) / 1024;
+    // Host-side claim: warn (never fail) — RSS depends on the machine, the
+    // allocator, and what ran before.
     if (S.RssPerTenantKb * 20 >= FlatKb) {
       OS.printf("WARNING: %s: each tenant held %llu KB resident, not under "
                 "5%% of a flat %llu KB machine image\n",
@@ -258,8 +205,7 @@ int main(int Argc, char **Argv) {
     Rows.push_back(S.row());
   }
   if (!HostWarned)
-    OS.printf("\nhost-side: fleet spawn under 10%% of cold warm-up time, "
-              "tenant RSS under 5%% of a flat machine image\n");
+    OS.printf("\nhost-side: tenant RSS under 5%% of a flat machine image\n");
 
   writeRows(OutPath, Rows);
   return 0;

@@ -9,8 +9,6 @@
 
 #include "support/Compiler.h"
 
-#include <cmath>
-
 using namespace rio;
 
 const char *rio::clientKindName(ClientKind Kind) {
@@ -106,7 +104,7 @@ Outcome rio::runNativeProgram(const Program &Prog, const CostModel &Cost) {
 }
 
 Outcome rio::runUnderRuntime(const Program &Prog, const RuntimeConfig &Config,
-                             ClientKind Kind, const CostModel &Cost) {
+                             Client *C, const CostModel &Cost) {
   MachineConfig MC;
   MC.Cost = Cost;
   Machine M(MC);
@@ -115,8 +113,7 @@ Outcome rio::runUnderRuntime(const Program &Prog, const RuntimeConfig &Config,
     O.Status = RunStatus::Faulted;
     return O;
   }
-  ClientBundle Bundle(Kind);
-  Runtime RT(M, Config, Bundle.client());
+  Runtime RT(M, Config, C);
   RunResult R = RT.run();
   O.Status = R.Status;
   O.ExitCode = R.ExitCode;
@@ -127,27 +124,8 @@ Outcome rio::runUnderRuntime(const Program &Prog, const RuntimeConfig &Config,
   return O;
 }
 
-NormalizedRun rio::measure(const Workload &W, const RuntimeConfig &Config,
-                           ClientKind Kind, int Scale, const CostModel &Cost) {
-  Program Prog = buildWorkload(W, Scale);
-  NormalizedRun R;
-  R.Native = runNativeProgram(Prog, Cost);
-  R.Rio = runUnderRuntime(Prog, Config, Kind, Cost);
-  R.Transparent = R.Native.Status == RunStatus::Exited &&
-                  R.Rio.Status == RunStatus::Exited &&
-                  R.Native.Output == R.Rio.Output &&
-                  R.Native.ExitCode == R.Rio.ExitCode;
-  R.Normalized = R.Native.Cycles
-                     ? double(R.Rio.Cycles) / double(R.Native.Cycles)
-                     : 0.0;
-  return R;
-}
-
-double rio::geomean(const std::vector<double> &Values) {
-  if (Values.empty())
-    return 0.0;
-  double LogSum = 0;
-  for (double V : Values)
-    LogSum += std::log(V);
-  return std::exp(LogSum / double(Values.size()));
+Outcome rio::runUnderRuntime(const Program &Prog, const RuntimeConfig &Config,
+                             ClientKind Kind, const CostModel &Cost) {
+  ClientBundle Bundle(Kind);
+  return runUnderRuntime(Prog, Config, Bundle.client(), Cost);
 }

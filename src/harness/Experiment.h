@@ -6,10 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The shared machinery behind the bench binaries: run a (workload,
-/// runtime configuration, client) combination on a fresh machine and
-/// report normalized execution time the way the paper does — "the ratio
-/// of our time to native execution time, so smaller is better".
+/// The shared machinery behind the bench binaries: run a program natively
+/// or under a (runtime configuration, client) combination on a fresh
+/// machine, and report its outcome.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +20,6 @@
 #include "workloads/Workloads.h"
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,25 +67,14 @@ struct Outcome {
 Outcome runNativeProgram(const Program &Prog,
                          const CostModel &Cost = CostModel());
 
+/// Runs \p Prog under the runtime with \p Config and client \p C (none if
+/// null).
+Outcome runUnderRuntime(const Program &Prog, const RuntimeConfig &Config,
+                        Client *C, const CostModel &Cost = CostModel());
+
 /// Runs \p Prog under the runtime with \p Config and \p Kind.
 Outcome runUnderRuntime(const Program &Prog, const RuntimeConfig &Config,
                         ClientKind Kind, const CostModel &Cost = CostModel());
-
-/// Convenience: builds the workload at \p Scale (default scale if <= 0)
-/// and returns {native, under-runtime} outcomes, asserting both produce
-/// identical application output (transparency).
-struct NormalizedRun {
-  Outcome Native;
-  Outcome Rio;
-  double Normalized = 0; ///< Rio.Cycles / Native.Cycles
-  bool Transparent = false;
-};
-NormalizedRun measure(const Workload &W, const RuntimeConfig &Config,
-                      ClientKind Kind, int Scale = 0,
-                      const CostModel &Cost = CostModel());
-
-/// Geometric mean of a list of ratios.
-double geomean(const std::vector<double> &Values);
 
 } // namespace rio
 

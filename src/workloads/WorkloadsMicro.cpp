@@ -13,7 +13,7 @@
 ///                 small function between two 8-byte templates and calls
 ///                 it, so the consistency machinery must invalidate and
 ///                 re-translate the overwritten code or the checksum is
-///                 wrong (bench_cache_mgmt asserts it against native).
+///                 wrong (bench_paper asserts it against native).
 ///
 ///   cachepressure a hot core plus a pseudo-random stream of calls into a
 ///                 table of functions whose combined bodies exceed any
