@@ -211,7 +211,9 @@ Outcome runCosted(const Program &Prog, unsigned ExtraCost, bool Sideline) {
   if (!loadProgram(M, Prog))
     die("program too large");
   SidelineOptimizer Side(Opt);
-  Runtime RT(M, RuntimeConfig::full(), &Side);
+  RuntimeConfig Config = RuntimeConfig::full();
+  Config.SidelinePump = &Side;
+  Runtime RT(M, Config, &Side);
   RunResult R = runWithSideline(RT, Side);
   return {R.Status, R.ExitCode, M.output(), R.Cycles, R.Instructions,
           RT.stats()};

@@ -63,8 +63,7 @@ Corpus &corpus() {
         continue;
       RT.forEachFragment([&](const Fragment &Frag) {
         if (Frag.FragKind == Fragment::Kind::BasicBlock)
-          Built.Blocks.push_back(
-              {M.get(), Frag.Tag, RT.config().MaxBlockInstrs});
+          Built.Blocks.push_back({M.get(), Frag.Tag, MaxBlockInstrs});
       });
       Built.Machines.push_back(std::move(M));
     }

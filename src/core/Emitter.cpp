@@ -499,7 +499,7 @@ Fragment *Runtime::buildBasicBlock(AppPc Tag, bool Shadow) {
   maybeFlushForSpace(Fragment::Kind::BasicBlock);
   BlockScan Scan;
   uint32_t AppSize = M.runtimeBase();
-  if (!scanBlock(M.mem(), AppSize, Tag, Config.MaxBlockInstrs, Scan)) {
+  if (!scanBlock(M.mem(), AppSize, Tag, MaxBlockInstrs, Scan)) {
     M.fault("cannot decode basic block at tag " + std::to_string(Tag));
     return nullptr;
   }
@@ -508,8 +508,7 @@ Fragment *Runtime::buildBasicBlock(AppPc Tag, bool Shadow) {
   InstrList IL(BuildArena);
   // The paper's default representation: one Level 0 bundle for the body
   // plus a fully decoded terminating CTI.
-  if (!liftBlock(IL, M.mem(), AppSize, Tag, Config.MaxBlockInstrs,
-                 Config.BbLift)) {
+  if (!liftBlock(IL, M.mem(), AppSize, Tag, MaxBlockInstrs, Config.BbLift)) {
     M.fault("cannot lift basic block at tag " + std::to_string(Tag));
     return nullptr;
   }
@@ -811,25 +810,65 @@ InstrList *Runtime::decodeFragment(Arena &A, AppPc Tag) {
 }
 
 bool Runtime::replaceFragment(AppPc Tag, InstrList &IL) {
+  if (!swapFragment(Tag, IL, /*Publish=*/false))
+    return false;
+  ++S.FragmentsReplaced;
+  return true;
+}
+
+//===----------------------------------------------------------------------===//
+// Versioned publication + OSR (asynchronous sideline; paper Section 3.4's
+// "concurrent thread for sideline optimization")
+//===----------------------------------------------------------------------===//
+
+bool Runtime::publishVersion(AppPc Tag, InstrList &IL) {
+  Fragment *New = swapFragment(Tag, IL, /*Publish=*/true);
+  if (!New)
+    return false;
+  Stats.counter("sideline_versions_published") += 1;
+  obsEvent(TraceEventKind::SidelinePublished, Tag, New->CacheAddr);
+  return true;
+}
+
+Fragment *Runtime::swapFragment(AppPc Tag, InstrList &IL, bool Publish) {
   ensureUnshared(); // rebuilds the table; look up only afterwards
   Fragment *Old = lookupFragment(Tag);
   if (!Old)
-    return false;
+    return nullptr;
 
   unsigned NumInstrs = 0;
   for (Instr &I : IL)
     if (!I.isLabel())
       ++NumInstrs;
 
-  chargeRuntime(M.cost().FragmentReplaceCost + clientTransformCost(IL));
+  // A replacement pays for the client's transform on the application
+  // thread. A publication's transform happened off the critical path:
+  // only the link-graph swap runs here, so it is cheaper and charges no
+  // per-instruction client transform cost.
+  chargeRuntime(Publish ? M.cost().SidelinePublishCost
+                        : M.cost().FragmentReplaceCost +
+                              clientTransformCost(IL));
 
   Fragment *New = emitFragment(Tag, IL, Old->FragKind, NumInstrs);
   if (!New)
-    return false;
+    return nullptr;
   New->IsTraceHead = Old->IsTraceHead;
   New->Version = Old->Version + 1;
   New->PrevVersion = Old;
   New->TraceBlocks = Old->TraceBlocks;
+  // A publication mints an epoch; 0 retires a replaced body under the
+  // guard-pc rule alone.
+  uint64_t Epoch = 0;
+  if (Publish) {
+    Epoch = ++PubEpoch;
+    New->PublishEpoch = Epoch;
+    // A publishing thread that holds no cache pc (dispatch boundary, or a
+    // clean call whose pc is guard-protected) is safe for this epoch. When
+    // the pump publishes between quanta the active context is suspended
+    // in the cache like any other — it earns the epoch only via OSR below.
+    if (TC->ResumePoint != ThreadContext::Resume::InCache)
+      TC->SafeEpoch = Epoch;
+  }
 
   // "All links targeting and originating from the old fragment are
   // immediately modified to use the new fragment." Incoming links are
@@ -845,120 +884,14 @@ bool Runtime::replaceFragment(AppPc Tag, InstrList &IL) {
   }
   Old->IncomingLinks.clear();
   unlinkOutgoing(Old);
-
   Table.insert(Tag, New);
-  // Emission above may already have evicted Old to make room; only retire
-  // and notify once.
-  if (!Old->Doomed) {
-    dropIbSites(Old);
-    CM.retireFragment(Old);
-    Old->Doomed = true;
-    DoomedFragments.push_back(Old);
-    if (TheClient)
-      TheClient->onFragmentDeleted(*this, Tag);
-  }
-  linkNewFragment(New);
-  ++S.FragmentsReplaced;
-  return true;
-}
+  if (Publish)
+    osrTransfer(*Old, *New, Epoch);
 
-//===----------------------------------------------------------------------===//
-// Versioned publication + OSR (asynchronous sideline; paper Section 3.4's
-// "concurrent thread for sideline optimization")
-//===----------------------------------------------------------------------===//
-
-bool Runtime::publishVersion(AppPc Tag, InstrList &IL) {
-  ensureUnshared(); // rebuilds the table; look up only afterwards
-  Fragment *Old = lookupFragment(Tag);
-  if (!Old)
-    return false;
-
-  unsigned NumInstrs = 0;
-  for (Instr &I : IL)
-    if (!I.isLabel())
-      ++NumInstrs;
-
-  // Only the link-graph swap runs on the application thread — the
-  // transform itself happened off the critical path — so publication is
-  // cheaper than a synchronous replace, and charges no per-instruction
-  // client transform cost.
-  chargeRuntime(M.cost().SidelinePublishCost);
-
-  Fragment *New = emitFragment(Tag, IL, Old->FragKind, NumInstrs);
-  if (!New)
-    return false;
-  New->IsTraceHead = Old->IsTraceHead;
-  New->Version = Old->Version + 1;
-  New->PrevVersion = Old;
-  New->TraceBlocks = Old->TraceBlocks;
-  uint64_t Epoch = ++PubEpoch;
-  New->PublishEpoch = Epoch;
-  // A publishing thread that holds no cache pc (dispatch boundary, or a
-  // clean call whose pc is guard-protected) is safe for this epoch. When
-  // the pump publishes between quanta the active context is suspended
-  // in the cache like any other — it earns the epoch only via OSR below.
-  if (TC->ResumePoint != ThreadContext::Resume::InCache)
-    TC->SafeEpoch = Epoch;
-
-  // Swap the tag's link graph to the new version, exactly as replacement
-  // does: incoming exits re-pointed, the old body's outgoing links severed
-  // so execution still inside it leaves at its next branch.
-  std::vector<uint32_t> Incoming = Old->IncomingLinks;
-  for (uint32_t ExitId : Incoming) {
-    auto [Owner, ExitIdx] = ExitRecords[ExitId];
-    FragmentExit &Exit = Owner->Exits[ExitIdx];
-    unlinkExit(Owner, Exit);
-    if (Config.LinkDirectBranches)
-      linkExit(Owner, Exit, New);
-  }
-  Old->IncomingLinks.clear();
-  unlinkOutgoing(Old);
-  Table.insert(Tag, New);
-
-  // OSR: transfer every thread context suspended inside the old body —
-  // including the active one when publication runs between quanta — over
-  // to the new version. The exit-boundary descriptors (or the CodeMap)
-  // translate its suspension pc to an application pc; resuming
-  // AtDispatcher on that tag re-enters through the live version. A context
-  // with no translation stays put — its guard pc keeps the old slot's
-  // bytes alive until it leaves on its own.
-  for (const auto &Ctx : Contexts) {
-    if (Ctx->ResumePoint != ThreadContext::Resume::InCache)
-      continue;
-    uint32_t Pc = Ctx->ResumeCachePc;
-    if (Pc < Old->CacheAddr ||
-        Pc >= Old->CacheAddr + Old->CodeSize + Old->StubsSize)
-      continue;
-    // Preferred: direct in-cache transfer. The new body was emitted from
-    // a decode of the old one, so its code map keys are the old body's
-    // cache pcs — an exact hit lands the thread on the very instruction
-    // it was about to execute, with no dispatcher round trip.
-    uint32_t NewOff = New->offsetOfAppPc(Pc);
-    if (NewOff != UINT32_MAX && NewOff < New->CodeSize) {
-      Ctx->ResumeCachePc = New->CacheAddr + NewOff;
-      Ctx->SafeEpoch = Epoch;
-      Stats.counter("osr_transfers") += 1;
-      obsEvent(TraceEventKind::OsrTransfer, Tag, Pc);
-      continue;
-    }
-    AppPc Resume = Old->osrResumePc(Pc - Old->CacheAddr);
-    // The CodeMap fallback can answer with a cache pc for bodies that were
-    // themselves re-emitted from decoded cache instructions — not a tag.
-    if (Resume && Resume < M.runtimeBase()) {
-      Ctx->ResumePoint = ThreadContext::Resume::AtDispatcher;
-      Ctx->ResumeTag = Resume;
-      Ctx->ResumeCachePc = 0;
-      // Transferred off the old bytes: the context is safe for this
-      // publication (it can only re-enter through the live table).
-      Ctx->SafeEpoch = Epoch;
-      Stats.counter("osr_transfers") += 1;
-      obsEvent(TraceEventKind::OsrTransfer, Tag, Pc);
-    }
-  }
-
-  // Retire the old body under this epoch: reclamation additionally waits
-  // until every thread has passed a safe point at or beyond it. (Emission
-  // above may already have evicted Old to make room; retire/notify once.)
+  // Retire the old body (under the publication epoch, if any: reclamation
+  // then also waits until every thread has passed a safe point at or
+  // beyond it). Emission above may already have evicted Old to make room;
+  // only retire and notify once.
   if (!Old->Doomed) {
     Old->RetireEpoch = Epoch;
     dropIbSites(Old);
@@ -969,9 +902,51 @@ bool Runtime::publishVersion(AppPc Tag, InstrList &IL) {
       TheClient->onFragmentDeleted(*this, Tag);
   }
   linkNewFragment(New);
-  Stats.counter("sideline_versions_published") += 1;
-  obsEvent(TraceEventKind::SidelinePublished, Tag, New->CacheAddr);
-  return true;
+  return New;
+}
+
+void Runtime::osrTransfer(const Fragment &Old, const Fragment &New,
+                          uint64_t Epoch) {
+  // Transfer every thread context suspended inside the old body —
+  // including the active one when publication runs between quanta — over
+  // to the new version. The exit-boundary descriptors (or the CodeMap)
+  // translate its suspension pc to an application pc; resuming
+  // AtDispatcher on that tag re-enters through the live version. A context
+  // with no translation stays put — its guard pc keeps the old slot's
+  // bytes alive until it leaves on its own.
+  for (const auto &Ctx : Contexts) {
+    if (Ctx->ResumePoint != ThreadContext::Resume::InCache)
+      continue;
+    uint32_t Pc = Ctx->ResumeCachePc;
+    if (Pc < Old.CacheAddr ||
+        Pc >= Old.CacheAddr + Old.CodeSize + Old.StubsSize)
+      continue;
+    // Preferred: direct in-cache transfer. The new body was emitted from
+    // a decode of the old one, so its code map keys are the old body's
+    // cache pcs — an exact hit lands the thread on the very instruction
+    // it was about to execute, with no dispatcher round trip.
+    uint32_t NewOff = New.offsetOfAppPc(Pc);
+    if (NewOff != UINT32_MAX && NewOff < New.CodeSize) {
+      Ctx->ResumeCachePc = New.CacheAddr + NewOff;
+      Ctx->SafeEpoch = Epoch;
+      Stats.counter("osr_transfers") += 1;
+      obsEvent(TraceEventKind::OsrTransfer, Old.Tag, Pc);
+      continue;
+    }
+    AppPc Resume = Old.osrResumePc(Pc - Old.CacheAddr);
+    // The CodeMap fallback can answer with a cache pc for bodies that were
+    // themselves re-emitted from decoded cache instructions — not a tag.
+    if (Resume && Resume < M.runtimeBase()) {
+      Ctx->ResumePoint = ThreadContext::Resume::AtDispatcher;
+      Ctx->ResumeTag = Resume;
+      Ctx->ResumeCachePc = 0;
+      // Transferred off the old bytes: the context is safe for this
+      // publication (it can only re-enter through the live table).
+      Ctx->SafeEpoch = Epoch;
+      Stats.counter("osr_transfers") += 1;
+      obsEvent(TraceEventKind::OsrTransfer, Old.Tag, Pc);
+    }
+  }
 }
 
 bool Runtime::deoptimizeFragment(AppPc Tag) {

@@ -108,7 +108,7 @@ void Runtime::ibNoteArrival(AppPc Target, uint32_t SiteCachePc) {
     return;
 
   // Skew check: take the hottest targets, each carrying at least 1/16 of
-  // the arrivals, up to the configured chain length; rewrite only when
+  // the arrivals, up to MaxIbInlineTargets of them; rewrite only when
   // together they cover at least a third of all arrivals.
   unsigned Order[IbSiteProfile::MaxTargets];
   unsigned N = 0;
@@ -118,13 +118,12 @@ void Runtime::ibNoteArrival(AppPc Target, uint32_t SiteCachePc) {
   std::stable_sort(Order, Order + N, [&P](unsigned A, unsigned B) {
     return P.Counts[A] > P.Counts[B];
   });
-  unsigned Cap = std::min(Config.MaxIbInlineTargets, IbSiteProfile::MaxTargets);
-  if (Cap == 0)
-    return;
+  static_assert(MaxIbInlineTargets <= IbSiteProfile::MaxTargets,
+                "chain length exceeds the site profile's target slots");
   AppPc Picks[IbSiteProfile::MaxTargets];
   unsigned NumPicks = 0;
   uint64_t Covered = 0;
-  for (unsigned Idx = 0; Idx != N && NumPicks != Cap; ++Idx) {
+  for (unsigned Idx = 0; Idx != N && NumPicks != MaxIbInlineTargets; ++Idx) {
     unsigned K = Order[Idx];
     if (P.Counts[K] * 16 < P.Total)
       break; // ordered, so everything after is colder still

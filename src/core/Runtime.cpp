@@ -501,7 +501,7 @@ RunResult Runtime::runCached(uint64_t Deadline) {
       TC->ResumeTag = Target;
       return finishRun(/*Quantum=*/true);
     }
-    // Dispatch boundary = async-sideline publication safe point: no cache
+    // Dispatch boundary = sideline publication safe point: no cache
     // pc is live-in for this thread, so superseded versions can retire and
     // finished re-optimizations can be published before the next lookup.
     if (RIO_UNLIKELY(Config.SidelinePump != nullptr))

@@ -456,7 +456,7 @@ private:
   AppPc handleIndirectArrival(AppPc Target, AppPc SiteCachePc, AppPc &Resume);
   void serviceCleanCall(uint32_t Id);
   void chargeRuntime(uint64_t Cycles);
-  /// Async-sideline publication point, called at every dispatch boundary
+  /// Sideline publication point, called at every dispatch boundary
   /// when Config.SidelinePump is attached: marks the active context safe
   /// for all epochs so far, then lets the pump publish due jobs. Defined
   /// in Sideline.cpp (the pump's type is only complete there).
@@ -475,6 +475,15 @@ private:
   void unlinkIncoming(Fragment *Frag);
   void linkNewFragment(Fragment *Frag);
   void deleteFragment(Fragment *Frag);
+  /// The swap behind replaceFragment and publishVersion: emits \p IL as the
+  /// next version of \p Tag's fragment, moves its links over and retires
+  /// the old body. \p Publish adds the publication epoch and OSR transfer
+  /// and charges SidelinePublishCost instead of FragmentReplaceCost plus
+  /// the client transform cost. Returns the new fragment, or null.
+  Fragment *swapFragment(AppPc Tag, InstrList &IL, bool Publish);
+  /// Moves every context suspended inside \p Old onto \p New (or to the
+  /// dispatcher at the equivalent application pc), safe for \p Epoch.
+  void osrTransfer(const Fragment &Old, const Fragment &New, uint64_t Epoch);
   void patchRel32(uint32_t CtiAddr, unsigned CtiLen, uint32_t NewTarget);
   uint32_t allocCache(unsigned Size, Fragment::Kind Kind);
   /// FlushAll policy: empties \p Kind's cache when its headroom runs low

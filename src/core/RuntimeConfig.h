@@ -28,16 +28,26 @@ class EventTrace;
 class SampleProfile;
 class SidelineOptimizer;
 
-/// How the sideline re-optimizer runs (core/Sideline.h).
+/// How the sideline re-optimizer runs (core/Sideline.h). There is one
+/// mode; the enum stays so existing SidelineOptimizer constructions name it.
 enum class SidelineMode {
-  Off,  ///< no sideline re-optimization
-  Sync, ///< processOne() at dispatch boundaries (the pre-async behavior)
   /// A real host worker thread re-optimizes off the critical path and the
   /// runtime publishes finished versions at dispatch-boundary publication
   /// points on a seeded virtual-completion schedule, keeping simulated
   /// cycles bit-reproducible (docs/sideline-cost-model.md).
   Async,
 };
+
+/// Maximum basic blocks stitched into one trace.
+inline constexpr unsigned MaxTraceBlocks = 16;
+
+/// Maximum instructions lifted into one basic block.
+inline constexpr unsigned MaxBlockInstrs = 256;
+
+/// Most targets inlined into one adaptive indirect-branch chain (at most
+/// Runtime::IbSiteProfile::MaxTargets, 8, so the jecxz short-branch reach
+/// over the chain tail can never overflow).
+inline constexpr unsigned MaxIbInlineTargets = 4;
 
 enum class ExecMode {
   Emulate, ///< pure interpretation, no code cache
@@ -86,21 +96,10 @@ struct RuntimeConfig {
   /// Executions of a trace head before trace generation starts.
   unsigned TraceThreshold = 50;
 
-  /// Maximum basic blocks stitched into one trace.
-  unsigned MaxTraceBlocks = 16;
-
-  /// Maximum instructions lifted into one basic block.
-  unsigned MaxBlockInstrs = 256;
-
   /// Representation level for freshly built basic blocks. The paper's
   /// default is a Level 0 bundle plus a decoded terminator; forcing higher
   /// levels costs real build cycles (the Ablation B bench measures this).
   LiftLevel BbLift = LiftLevel::Bundle0;
-
-  /// Inline the hot target of indirect branches inside traces, guarded by a
-  /// compare (paper Section 3 / 4.3). When off, an indirect branch always
-  /// ends the trace.
-  bool InlineIndirectInTraces = true;
 
   /// Adaptive indirect-branch inline caches (Section 4.3 made adaptive):
   /// profile each indirect exit site host-side at the IBL boundary and,
@@ -112,10 +111,6 @@ struct RuntimeConfig {
 
   /// Arrivals at one indirect site before a rewrite is considered.
   unsigned IbInlineThreshold = 64;
-
-  /// Most targets inlined into one chain (clamped to 8 so the jecxz
-  /// short-branch reach over the chain tail can never overflow).
-  unsigned MaxIbInlineTargets = 4;
 
   /// Guard failures on one trace tag before the speculative trace
   /// optimizer blacklists it (no further speculation; the pristine rebuild
@@ -167,10 +162,11 @@ struct RuntimeConfig {
   /// host-side only, like Trace.
   SampleProfile *Profiler = nullptr;
 
-  /// Asynchronous sideline (SidelineMode::Async): the coordinator whose
-  /// pump the runtime calls at each dispatch boundary. Not owned; rides by
-  /// pointer like Trace/Profiler so ThreadedRunner's by-value config copies
-  /// still reach the one coordinator. Null = no pump (Off and Sync modes).
+  /// Sideline optimizer (core/Sideline.h): the coordinator whose pump the
+  /// runtime calls at each dispatch boundary. Not owned; rides by pointer
+  /// like Trace/Profiler so ThreadedRunner's by-value config copies still
+  /// reach the one coordinator. Null = no pump (no sideline, or one pumped
+  /// only between quanta by runWithSideline).
   SidelineOptimizer *SidelinePump = nullptr;
 
   /// Convenience constructors for the Table 1 ladder.

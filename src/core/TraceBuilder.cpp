@@ -63,8 +63,8 @@ void Runtime::traceGenStep(AppPc NextTag) {
       TheClient ? TheClient->onEndTrace(*this, TC->TraceGenHead, NextTag)
                 : Client::EndTrace::Default;
   // Hard caps apply regardless of the client's wishes.
-  bool AtCap = TC->TraceGenBlocks.size() >= Config.MaxTraceBlocks ||
-               TC->TraceGenInstrs >= 4 * Config.MaxBlockInstrs;
+  bool AtCap = TC->TraceGenBlocks.size() >= MaxTraceBlocks ||
+               TC->TraceGenInstrs >= 4 * MaxBlockInstrs;
   switch (Decision) {
   case Client::EndTrace::End:
     EndNow = true;
@@ -188,13 +188,13 @@ InstrList *Runtime::buildTraceList(const std::vector<AppPc> &Blocks,
     AppPc NextTag = IsLast ? 0 : Blocks[BlockIdx + 1];
 
     BlockScan Scan;
-    if (!scanBlock(M.mem(), AppSize, Tag, Config.MaxBlockInstrs, Scan))
+    if (!scanBlock(M.mem(), AppSize, Tag, MaxBlockInstrs, Scan))
       return nullptr;
     InstrList BlockIL(A);
     // "When performing optimizations, DynamoRIO fully decodes all
     // instructions in a trace's InstrList, but keeps their raw bit
     // pointers valid (Level 3)."
-    if (!liftBlock(BlockIL, M.mem(), AppSize, Tag, Config.MaxBlockInstrs,
+    if (!liftBlock(BlockIL, M.mem(), AppSize, Tag, MaxBlockInstrs,
                    LiftLevel::Decoded3))
       return nullptr;
     NumInstrs += Scan.NumInstrs;
@@ -250,8 +250,6 @@ InstrList *Runtime::buildTraceList(const std::vector<AppPc> &Blocks,
         BlockIL.replace(Term, Push);
         ++S.TraceCallsInlined;
       } else if (Term->isIndirectCti()) {
-        if (!Config.InlineIndirectInTraces)
-          return nullptr; // should have been an end condition
         Inlines.push_back({Term, NextTag});
       } else {
         return nullptr; // unexpected terminator mid-trace

@@ -21,6 +21,25 @@ using namespace rio::test;
 
 namespace {
 
+/// A runtime whose trace hook runs behind the sideline: a host worker
+/// thread when the inner client is sideline-safe, publication pumped at
+/// every dispatch boundary and between quanta.
+struct Sidelined {
+  SidelineOptimizer Sideline;
+  Runtime RT;
+  Sidelined(Machine &M, Client &Inner, uint64_t Seed = 0x5eed51deull)
+      : Sideline(Inner, SidelineMode::Async, Seed),
+        RT(M, pumped(Sideline), &Sideline) {}
+  static RuntimeConfig pumped(SidelineOptimizer &S) {
+    RuntimeConfig Config = RuntimeConfig::full();
+    Config.SidelinePump = &S;
+    return Config;
+  }
+  RunResult run(uint64_t Quantum = 3000) {
+    return runWithSideline(RT, Sideline, Quantum);
+  }
+};
+
 TEST(Sideline, OptimizesTracesOffTheCriticalPath) {
   const Workload *W = findWorkload("mgrid");
   Program P = buildWorkload(*W, W->TestScale);
@@ -29,20 +48,19 @@ TEST(Sideline, OptimizesTracesOffTheCriticalPath) {
   Machine M;
   ASSERT_TRUE(loadProgram(M, P));
   RlrClient Inner;
-  SidelineOptimizer Sideline(Inner);
-  Runtime RT(M, RuntimeConfig::full(), &Sideline);
-  RunResult R = runWithSideline(RT, Sideline);
+  Sidelined S(M, Inner);
+  RunResult R = S.run();
   ASSERT_EQ(R.Status, RunStatus::Exited) << R.FaultReason;
   EXPECT_EQ(M.output(), Native.Output);
-  EXPECT_GE(Sideline.tracesOptimized(), 1u);
+  EXPECT_GE(S.Sideline.tracesOptimized(), 1u);
   EXPECT_GE(Inner.loadsForwarded() + Inner.loadsRemoved(), 1u);
-  EXPECT_GE(RT.stats().get("fragments_replaced"),
-            Sideline.tracesOptimized());
+  EXPECT_EQ(S.RT.stats().get("sideline_versions_published"),
+            S.Sideline.tracesOptimized());
 }
 
 TEST(Sideline, StillDeliversTheSpeedup) {
   // On mgrid the deferred redundant-load removal must still beat the
-  // unoptimized runtime once the sideline has swapped the hot trace in.
+  // unoptimized runtime once the sideline has published the hot trace.
   const Workload *W = findWorkload("mgrid");
   Program P = buildWorkload(*W, 0);
 
@@ -54,9 +72,8 @@ TEST(Sideline, StillDeliversTheSpeedup) {
       Runtime RT(M, RuntimeConfig::full(), nullptr);
       return RT.run().Cycles;
     }
-    SidelineOptimizer Sideline(Inner);
-    Runtime RT(M, RuntimeConfig::full(), &Sideline);
-    return runWithSideline(RT, Sideline).Cycles;
+    Sidelined S(M, Inner);
+    return S.run().Cycles;
   };
   uint64_t Base = Run(false);
   uint64_t Sideline = Run(true);
@@ -81,7 +98,7 @@ TEST(Sideline, PaysOffForExpensiveOptimizations) {
   // The sideline's raison d'etre (paper Section 3.4): expensive
   // optimization time comes off the application's critical path — the
   // synchronous client eats the full analysis cost, the sideline only the
-  // replacement's relink cost.
+  // publication's link-graph swap.
   for (const char *Name : {"gcc", "perlbmk", "mgrid"}) {
     const Workload *W = findWorkload(Name);
     Program P = buildWorkload(*W, 0);
@@ -99,18 +116,18 @@ TEST(Sideline, PaysOffForExpensiveOptimizations) {
       Machine M;
       loadProgram(M, P);
       ExpensiveOptimizer Opt;
-      SidelineOptimizer Sideline(Opt);
-      Runtime RT(M, RuntimeConfig::full(), &Sideline);
-      Side = runWithSideline(RT, Sideline).Cycles;
+      Sidelined S(M, Opt);
+      Side = S.run().Cycles;
     }
     EXPECT_LT(Side, Sync) << Name;
   }
 }
 
 TEST(Sideline, CheapClientsCostAboutTheSame) {
-  // For lightweight transformations the sideline's replacement sync cost
-  // roughly cancels its deferral benefit: it must at least stay within a
-  // few percent (its value is for heavyweight optimizers, above).
+  // For lightweight transformations the publication cost and the latency
+  // before the optimized version takes over roughly cancel the deferral
+  // benefit: the sideline must at least stay within a few percent (its
+  // value is for heavyweight optimizers, above).
   const Workload *W = findWorkload("perlbmk");
   Program P = buildWorkload(*W, 0);
   uint64_t Sync;
@@ -126,15 +143,14 @@ TEST(Sideline, CheapClientsCostAboutTheSame) {
     Machine M;
     loadProgram(M, P);
     StrengthReduceClient C;
-    SidelineOptimizer Sideline(C);
-    Runtime RT(M, RuntimeConfig::full(), &Sideline);
-    Side = runWithSideline(RT, Sideline).Cycles;
+    Sidelined S(M, C);
+    Side = S.run().Cycles;
   }
   EXPECT_LT(double(Side), double(Sync) * 1.05);
 }
 
 //===----------------------------------------------------------------------===//
-// Asynchronous mode: a real host worker thread plus versioned publication
+// Versioned publication on the seeded schedule
 //===----------------------------------------------------------------------===//
 
 struct AsyncRun {
@@ -146,23 +162,20 @@ struct AsyncRun {
   uint64_t Enqueued = 0;
 };
 
-/// One full async-sideline run of \p P with RLR as the inner optimizer.
+/// One full sideline run of \p P with RLR as the inner optimizer.
 AsyncRun runAsyncOnce(const Program &P, uint64_t Seed) {
   Machine M;
   EXPECT_TRUE(loadProgram(M, P));
   RlrClient Inner;
-  SidelineOptimizer Sideline(Inner, SidelineMode::Async, Seed);
-  RuntimeConfig Config = RuntimeConfig::full();
-  Config.SidelinePump = &Sideline;
-  Runtime RT(M, Config, &Sideline);
-  RunResult R = runWithSideline(RT, Sideline);
+  Sidelined S(M, Inner, Seed);
+  RunResult R = S.run();
   EXPECT_EQ(R.Status, RunStatus::Exited) << R.FaultReason;
   return {R.Cycles,
           M.output(),
-          Sideline.versionsPublished(),
-          Sideline.staleDrops(),
-          RT.publicationEpoch(),
-          RT.stats().get("sideline_jobs_enqueued")};
+          S.Sideline.versionsPublished(),
+          S.Sideline.staleDrops(),
+          S.RT.publicationEpoch(),
+          S.RT.stats().get("sideline_jobs_enqueued")};
 }
 
 TEST(Sideline, AsyncPublishesVersionsTransparently) {
@@ -194,43 +207,6 @@ TEST(Sideline, AsyncIsDeterministicForAFixedSeed) {
   EXPECT_EQ(A.Output, C.Output);
 }
 
-TEST(Sideline, AsyncPublicationIsCheaperThanSyncReplacement) {
-  // Publication swaps the link graph at a safe point (SidelinePublishCost)
-  // instead of synchronously replacing the fragment (FragmentReplaceCost).
-  // The flip side of asynchrony is latency: the old body runs until the
-  // virtual completion comes due, so a workload with very few traces can
-  // give back a sliver of the saving. Require an outright win on most
-  // workloads and near-parity (0.1%) on every one.
-  int Wins = 0;
-  for (const char *Name : {"gcc", "perlbmk", "mgrid"}) {
-    const Workload *W = findWorkload(Name);
-    Program P = buildWorkload(*W, 0);
-    uint64_t Sync;
-    {
-      Machine M;
-      ASSERT_TRUE(loadProgram(M, P));
-      StrengthReduceClient Inner;
-      SidelineOptimizer Sideline(Inner);
-      Runtime RT(M, RuntimeConfig::full(), &Sideline);
-      Sync = runWithSideline(RT, Sideline).Cycles;
-    }
-    uint64_t Async;
-    {
-      Machine M;
-      ASSERT_TRUE(loadProgram(M, P));
-      StrengthReduceClient Inner;
-      SidelineOptimizer Sideline(Inner, SidelineMode::Async, 7);
-      RuntimeConfig Config = RuntimeConfig::full();
-      Config.SidelinePump = &Sideline;
-      Runtime RT(M, Config, &Sideline);
-      Async = runWithSideline(RT, Sideline).Cycles;
-    }
-    Wins += Async < Sync;
-    EXPECT_LE(double(Async), double(Sync) * 1.001) << Name;
-  }
-  EXPECT_GE(Wins, 2);
-}
-
 TEST(Sideline, AsyncDeleteWhileQueuedIsPurged) {
   // Regression: a cache flush lands while decoded jobs are in flight. The
   // deletion hook must cancel the jobs captured against the now-dead
@@ -241,26 +217,23 @@ TEST(Sideline, AsyncDeleteWhileQueuedIsPurged) {
   Machine M;
   ASSERT_TRUE(loadProgram(M, P));
   StrengthReduceClient Inner;
-  SidelineOptimizer Sideline(Inner, SidelineMode::Async, 42);
-  RuntimeConfig Config = RuntimeConfig::full();
-  Config.SidelinePump = &Sideline;
-  Runtime RT(M, Config, &Sideline);
+  Sidelined S(M, Inner, 42);
   RunResult R;
   bool Flushed = false;
   for (;;) {
-    R = RT.runFor(400);
+    R = S.RT.runFor(400);
     if (!R.QuantumExpired)
       break;
-    if (!Flushed && Sideline.pendingCount() > 0) {
-      RT.flushCaches(); // every queued job's target version dies here
+    if (!Flushed && S.Sideline.pendingCount() > 0) {
+      S.RT.flushCaches(); // every queued job's target version dies here
       Flushed = true;
     }
   }
   ASSERT_EQ(R.Status, RunStatus::Exited) << R.FaultReason;
   ASSERT_TRUE(Flushed);
   EXPECT_EQ(M.output(), Native.Output);
-  EXPECT_GE(Sideline.staleDrops(), 1u);
-  EXPECT_GE(RT.stats().get("sideline_stale_drops"), 1u);
+  EXPECT_GE(S.Sideline.staleDrops(), 1u);
+  EXPECT_GE(S.RT.stats().get("sideline_stale_drops"), 1u);
 }
 
 TEST(Sideline, VersionQueryApi) {
@@ -270,12 +243,10 @@ TEST(Sideline, VersionQueryApi) {
   Machine M;
   ASSERT_TRUE(loadProgram(M, P));
   RlrClient Inner;
-  SidelineOptimizer Sideline(Inner, SidelineMode::Async, 7);
-  RuntimeConfig Config = RuntimeConfig::full();
-  Config.SidelinePump = &Sideline;
-  Runtime RT(M, Config, &Sideline);
-  ASSERT_EQ(runWithSideline(RT, Sideline).Status, RunStatus::Exited);
-  ASSERT_GE(Sideline.versionsPublished(), 1u);
+  Sidelined S(M, Inner, 7);
+  Runtime &RT = S.RT;
+  ASSERT_EQ(S.run().Status, RunStatus::Exited);
+  ASSERT_GE(S.Sideline.versionsPublished(), 1u);
   EXPECT_EQ(dr_fragment_version(&RT, Missing), -1);
   EXPECT_EQ(dr_publication_epoch(&RT), RT.publicationEpoch());
   // Single-threaded: nobody is suspended in the cache, so the whole
@@ -291,9 +262,9 @@ TEST(Sideline, VersionQueryApi) {
 }
 
 TEST(Sideline, PersistRoundTripUnderSideline) {
-  // PR 6 forbade cache images whenever any client was attached; the gate
-  // is now persistSafe(), so a sideline-wrapped pure optimizer serializes
-  // (only published versions live in the table) and warm-starts.
+  // The cache-image gate is persistSafe(), not "no client attached": a
+  // sideline-wrapped pure optimizer serializes (only published versions
+  // live in the table) and warm-starts.
   const Workload *W = findWorkload("mgrid");
   Program P = buildWorkload(*W, W->TestScale);
   NativeRun Native = runNative(P);
@@ -303,18 +274,17 @@ TEST(Sideline, PersistRoundTripUnderSideline) {
     Machine M;
     ASSERT_TRUE(loadProgram(M, P));
     RlrClient Inner;
-    SidelineOptimizer Sideline(Inner);
-    Runtime RT(M, RuntimeConfig::full(), &Sideline);
-    ASSERT_EQ(runWithSideline(RT, Sideline).Status, RunStatus::Exited);
-    ASSERT_GE(Sideline.tracesOptimized(), 1u);
-    ASSERT_TRUE(persist::CacheCodec::save(RT, Image));
+    Sidelined S(M, Inner);
+    ASSERT_EQ(S.run().Status, RunStatus::Exited);
+    ASSERT_GE(S.Sideline.tracesOptimized(), 1u);
+    ASSERT_TRUE(persist::CacheCodec::save(S.RT, Image));
   }
   {
     Machine M;
     ASSERT_TRUE(loadProgram(M, P));
     RlrClient Inner;
-    SidelineOptimizer Sideline(Inner);
-    Runtime RT(M, RuntimeConfig::full(), &Sideline);
+    Sidelined S(M, Inner);
+    Runtime &RT = S.RT;
     ASSERT_EQ(persist::CacheCodec::load(RT, Image.data(), Image.size()),
               persist::LoadStatus::Ok);
     EXPECT_GE(RT.numFragments(), 1u);
@@ -328,7 +298,7 @@ TEST(Sideline, PersistRoundTripUnderSideline) {
     });
     EXPECT_GE(TracesWithBlocks, 1u);
     EXPECT_GE(TracesWithOsr, 1u);
-    RunResult R = runWithSideline(RT, Sideline);
+    RunResult R = S.run();
     ASSERT_EQ(R.Status, RunStatus::Exited) << R.FaultReason;
     EXPECT_EQ(M.output(), Native.Output);
   }
@@ -339,14 +309,13 @@ TEST(Sideline, QueueDrainsAndSurvivesFlushes) {
   Machine M;
   ASSERT_TRUE(loadProgram(M, P));
   StrengthReduceClient Inner;
-  SidelineOptimizer Sideline(Inner);
-  Runtime RT(M, RuntimeConfig::full(), &Sideline);
-  RunResult R = runWithSideline(RT, Sideline, /*Quantum=*/500);
+  Sidelined S(M, Inner);
+  RunResult R = S.run(/*Quantum=*/500);
   ASSERT_EQ(R.Status, RunStatus::Exited) << R.FaultReason;
-  // Whatever remains queued at exit is simply unprocessed; nothing stale
-  // blew up, and flush/replace notifications kept the queue consistent.
-  RT.flushCaches();
-  EXPECT_FALSE(Sideline.processOne(RT)); // all queued tags now vanished
+  // Nothing stale blew up, flush/replace notifications kept the queue
+  // consistent, and every queued trace was published or dropped.
+  S.RT.flushCaches();
+  EXPECT_EQ(S.Sideline.pendingCount(), 0u);
 }
 
 } // namespace
