@@ -177,9 +177,6 @@ public:
   bool isIndirectCti() { return opcodeIsIndirectCti(getOpcode()); }
   bool isDirectCti() { return isCti() && !isIndirectCti(); }
   bool isLabel() { return TheLevel == Level::Synth && Op == OP_label; }
-  bool isSyscall() {
-    return (opcodeInfo(getOpcode()).Flags & OPF_SYSCALL) != 0;
-  }
 
   /// True if any source operand reads memory (address operands of stores
   /// count as address computation, not reads).

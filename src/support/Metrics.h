@@ -118,8 +118,6 @@ public:
   /// appear in snapshots in registration order.
   SourceId addSource(const std::string &Label);
 
-  size_t numSources() const { return Sources.size(); }
-
   /// Attaches every counter of \p Set to \p Src (kind Counter). The set is
   /// walked at snapshot time, so counters interned after this call are
   /// still picked up. Multiple sets on one source sum per name.

@@ -10,20 +10,18 @@
 #include "vm/Syscall.h"
 #include "support/Compiler.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <new>
 
 using namespace rio;
 
 Machine::Machine(const MachineConfig &Config)
     : Config(Config), Mem(Config.AppRegionSize + Config.RuntimeRegionSize) {
-  LineState.resize(Mem.size() / WriteWatchLine + 1);
-  DecodeCache.resize(DecodeCacheLines);
-  // Lines fill with Gen = LineGen[...] + 1 >= 1; the zero-initialized
-  // cache (Gen 0) can therefore never read as valid.
-  LineGen.resize(Mem.size() / WriteWatchLine + 1);
   CurCpu = &Threads[CurThread].Cpu;
 }
 
@@ -34,10 +32,47 @@ Machine::Machine(const Machine &Template)
       FaultReason(Template.FaultReason), Output(Template.Output),
       Cycles(Template.Cycles), InstrsExecuted(Template.InstrsExecuted),
       LastPc(Template.LastPc), ResetPc(Template.ResetPc),
-      ResetSp(Template.ResetSp), DecodeCache(Template.DecodeCache),
-      LineGen(Template.LineGen), LineState(Template.LineState),
-      CodeWrites(Template.CodeWrites), PendingInval(Template.PendingInval) {
+      ResetSp(Template.ResetSp), WatchLo(Template.WatchLo),
+      WatchHi(Template.WatchHi), InheritedWatches(Template.watchCounts()),
+      CodeWrites(Template.CodeWrites) {
+  // The cold decode cache has nothing for the template's pending
+  // invalidations to orphan, so they stay behind with the template.
   CurCpu = &Threads[CurThread].Cpu;
+}
+
+Machine::~Machine() {
+  if (DecodeCache)
+    ::munmap(DecodeCache, tableBytes());
+}
+
+size_t Machine::tableBytes() const {
+  return DecodeCacheLines * sizeof(DecodeLine) +
+         2 * size_t(NumLines) * sizeof(uint32_t);
+}
+
+void Machine::allocTables() {
+  NumLines = Mem.size() / WriteWatchLine + 1;
+  void *Block = ::mmap(nullptr, tableBytes(), PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (Block == MAP_FAILED)
+    throw std::bad_alloc();
+  // Zero-filled: every decode line has Gen 0 and fills store LineGen+1 >= 1,
+  // so an untouched line never reads as valid.
+  DecodeCache = static_cast<DecodeLine *>(Block);
+  LineGen = reinterpret_cast<uint32_t *>(DecodeCache + DecodeCacheLines);
+  LineState = LineGen + NumLines;
+  for (size_t I = 0; I != InheritedWatches.size(); ++I)
+    lineState(WatchLo + uint32_t(I)) = InheritedWatches[I];
+  InheritedWatches = {};
+}
+
+std::vector<uint32_t> Machine::watchCounts() const {
+  if (!LineState || WatchLo > WatchHi)
+    return InheritedWatches; // empty once the tables exist
+  std::vector<uint32_t> Counts(LineState + WatchLo, LineState + WatchHi + 1);
+  for (uint32_t &C : Counts)
+    C &= ~1u; // the fork caches no decodes yet
+  return Counts;
 }
 
 void Machine::resetForRun() {
@@ -59,10 +94,12 @@ void Machine::fault(const std::string &Reason) {
 const DecodedInstr *Machine::fetchDecode(AppPc Pc) {
   if (Pc >= Mem.size())
     return nullptr;
+  if (RIO_UNLIKELY(!DecodeCache))
+    allocTables();
   const uint32_t Line = Pc / WriteWatchLine;
-  const uint32_t Gen = LineGen[Line];
+  const uint32_t Gen = lineGen(Line);
   {
-    const DecodeLine &L = DecodeCache[Pc & (DecodeCacheLines - 1)];
+    const DecodeLine &L = decodeLine(Pc);
     if (L.Tag == Pc && L.Gen == Gen + 1)
       return &L.DI;
   }
@@ -75,8 +112,8 @@ const DecodedInstr *Machine::fetchDecode(AppPc Pc) {
   DecodedInstr DI;
   if (!Bytes || !decodeInstr(Bytes, Win, Pc, DI))
     return nullptr;
-  LineState.mut(Line) |= 1; // sticky: stores here now invalidate
-  DecodeLine &L = DecodeCache.mut(Pc & (DecodeCacheLines - 1));
+  lineState(Line) |= 1; // sticky: stores here now invalidate
+  DecodeLine &L = decodeLine(Pc);
   L.Tag = Pc;
   L.Gen = Gen + 1;
   L.Cost = Config.Cost.cyclesFor(DI);
@@ -89,10 +126,10 @@ void Machine::invalidateDecodeRange(uint32_t Lo, uint32_t Hi) {
   // decodes tagged with the old generation fail the validity check on
   // their next probe. No scan of the decode cache, no per-pc erasure.
   Hi = std::min<uint64_t>(Hi, Mem.size());
-  if (Lo >= Hi)
+  if (!LineGen || Lo >= Hi)
     return;
   for (uint32_t L = Lo / WriteWatchLine; L <= (Hi - 1) / WriteWatchLine; ++L)
-    ++LineGen.mut(L);
+    ++lineGen(L);
 }
 
 //===----------------------------------------------------------------------===//
@@ -100,20 +137,26 @@ void Machine::invalidateDecodeRange(uint32_t Lo, uint32_t Hi) {
 //===----------------------------------------------------------------------===//
 
 void Machine::addWriteWatch(uint32_t Lo, uint32_t Hi) {
+  Hi = std::min<uint64_t>(Hi, Mem.size());
   if (Lo >= Hi)
     return;
-  Hi = std::min<uint64_t>(Hi, Mem.size());
+  if (!LineState)
+    allocTables();
+  WatchLo = std::min(WatchLo, Lo / WriteWatchLine);
+  WatchHi = std::max(WatchHi, (Hi - 1) / WriteWatchLine);
   for (uint32_t L = Lo / WriteWatchLine; L <= (Hi - 1) / WriteWatchLine; ++L)
-    LineState.mut(L) += 2; // watch count lives above the sticky decoded bit
+    lineState(L) += 2; // watch count lives above the sticky decoded bit
 }
 
 void Machine::removeWriteWatch(uint32_t Lo, uint32_t Hi) {
+  Hi = std::min<uint64_t>(Hi, Mem.size());
   if (Lo >= Hi)
     return;
-  Hi = std::min<uint64_t>(Hi, Mem.size());
+  if (!LineState)
+    allocTables(); // a fork's inherited counts live there
   for (uint32_t L = Lo / WriteWatchLine; L <= (Hi - 1) / WriteWatchLine; ++L)
-    if (LineState[L] >> 1)
-      LineState.mut(L) -= 2;
+    if (lineState(L) >> 1)
+      lineState(L) -= 2;
 }
 
 void Machine::noteWriteSlow(uint32_t Addr, uint32_t Len, uint32_t State) {
@@ -470,26 +513,25 @@ StepResult Machine::step() {
     Result.Kind = StepKind::Faulted;
     return Result;
   }
+  if (RIO_UNLIKELY(!DecodeCache))
+    allocTables();
   // Inline decode-cache hit path: one line probe serves both the decoded
   // instruction and its memoized cycle cost.
   const AppPc Pc = CurCpu->Pc;
   const DecodedInstr *DI;
   if (RIO_LIKELY(Pc < Mem.size())) {
-    const DecodeLine &L = DecodeCache[Pc & (DecodeCacheLines - 1)];
-    if (RIO_LIKELY(L.Tag == Pc && L.Gen == LineGen[Pc / WriteWatchLine] + 1)) {
-      Cycles += L.Cost;
+    const DecodeLine &L = decodeLine(Pc);
+    if (RIO_LIKELY(L.Tag == Pc && L.Gen == lineGen(Pc / WriteWatchLine) + 1)) {
       DI = &L.DI;
     } else {
-      DI = fetchDecode(Pc);
+      DI = fetchDecode(Pc); // on success, refills L
       if (RIO_UNLIKELY(!DI)) {
         fault("undecodable instruction at pc");
         Result.Kind = StepKind::Faulted;
         return Result;
       }
-      // fetchDecode refilled this very line (and may have CoW-faulted the
-      // chunk, moving it — re-probe rather than touch the old reference).
-      Cycles += DecodeCache[Pc & (DecodeCacheLines - 1)].Cost;
     }
+    Cycles += L.Cost;
   } else {
     fault("undecodable instruction at pc");
     Result.Kind = StepKind::Faulted;

@@ -29,7 +29,9 @@
 
 #include "support/Compiler.h"
 
+#include <cassert>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace rio {
@@ -63,15 +65,20 @@ class Machine {
 public:
   explicit Machine(const MachineConfig &Config = MachineConfig());
 
-  /// Forks \p Template: memory pages and the host-side derived tables
-  /// (decode cache, write-monitor state) are loaned copy-on-write — the
-  /// first write to a shared page on either side copies just that page
+  /// Forks \p Template: memory pages are loaned copy-on-write — the first
+  /// write to a shared page on either side copies just that page
   /// (observable via mem().cowPageCopies()) — while the architectural
   /// state (threads, predictors, cycle clock) is copied privately. The
-  /// fork is an exact replica: resume it, reset it with resetForRun(), or
-  /// hand it to Runtime::forkFrom for a warm tenant.
+  /// derived host-side tables are not shared: the fork starts with a cold
+  /// decode cache and takes only the template's write-watch counts (the
+  /// lines between the lowest and highest ever watched), so stores into
+  /// code the template's fragments cover are still reported. A cold decode
+  /// costs no simulated cycles, so the fork is an exact replica: resume
+  /// it, reset it with resetForRun(), or hand it to Runtime::forkFrom for a
+  /// warm tenant.
   Machine(const Machine &Template);
   Machine &operator=(const Machine &) = delete;
+  ~Machine();
 
   MemoryImage &mem() { return Mem; }
   const MemoryImage &mem() const { return Mem; }
@@ -151,7 +158,8 @@ public:
   /// Invalidates cached decodes in [Lo, Hi); the runtime calls this when it
   /// patches, deletes or replaces cache code. O(1) per WriteWatchLine-sized
   /// line spanned: bumps the line generations, instantly orphaning every
-  /// decode tagged with the old generation.
+  /// decode tagged with the old generation. A no-op until the tables exist:
+  /// nothing can be cached yet.
   void invalidateDecodeRange(uint32_t Lo, uint32_t Hi);
 
   //===--------------------------------------------------------------------===
@@ -188,7 +196,6 @@ public:
   //===--------------------------------------------------------------------===
 
   unsigned numThreads() const { return unsigned(Threads.size()); }
-  unsigned currentThread() const { return CurThread; }
   bool threadAlive(unsigned Tid) const { return Threads[Tid].Alive; }
 
   /// Switches the architectural context to thread \p Tid (must be alive).
@@ -220,15 +227,23 @@ private:
   /// store spans at most two lines.
   RIO_ALWAYS_INLINE void noteWrite(uint32_t Addr, uint32_t Len) {
     uint32_t L0 = Addr / WriteWatchLine;
-    uint32_t State = LineState[L0]; // CowArray const read: no chunk fault
+    uint32_t State = lineState(L0);
     uint32_t L1 = (Addr + Len - 1) / WriteWatchLine;
     if (RIO_UNLIKELY(L1 != L0))
-      State |= LineState[L1];
+      State |= lineState(L1);
     if (RIO_UNLIKELY(State != 0))
       noteWriteSlow(Addr, Len, State);
   }
   void noteWriteSlow(uint32_t Addr, uint32_t Len, uint32_t State);
   void drainPendingInvalidations();
+
+  /// Maps the derived tables (first step(), fetchDecode or watch change)
+  /// and applies the watch counts a fork inherited.
+  void allocTables();
+  size_t tableBytes() const;
+  /// Watch counts (LineState with the decoded bit cleared) of lines
+  /// [WatchLo, WatchHi]: what a fork of this machine inherits.
+  std::vector<uint32_t> watchCounts() const;
 
   // Operand evaluation helpers (see Machine.cpp). Force-inlined into the
   // interpreter switch: they are tiny and on the hottest host path.
@@ -268,28 +283,57 @@ private:
   /// One direct-mapped decode-cache line: valid iff Tag matches the probe
   /// pc and Gen is one more than the current generation of the pc's watch
   /// line (fills store LineGen+1, so the stored Gen is always >= 1 and an
-  /// all-zero line — the CowArray's untouched state — never reads as
-  /// valid). Cost memoizes the (fixed) cost model's cyclesFor at fill time
-  /// so the hit path charges cycles with one load instead of an operand
-  /// walk.
+  /// all-zero line — a freshly mapped table — never reads as valid). Cost
+  /// memoizes the (fixed) cost model's cyclesFor at fill time so the hit
+  /// path charges cycles with one load instead of an operand walk.
   struct DecodeLine {
     uint32_t Tag = 0;
     uint32_t Gen = 0;
     uint32_t Cost = 0;
     DecodedInstr DI;
   };
-  // The derived host-side tables live in CowArrays so a forked machine
-  // shares them: copying ~5MB of decode cache per tenant would dwarf the
-  // tenant's real footprint.
-  CowArray<DecodeLine> DecodeCache; ///< DecodeCacheLines entries
-  CowArray<uint32_t> LineGen;       ///< per-WriteWatchLine generation
+  static_assert(std::is_trivially_copyable<DecodeLine>::value &&
+                    std::is_trivially_destructible<DecodeLine>::value,
+                "decode lines live in raw zero-filled pages");
+
+  // Bounds-checked table access. NumLines stays 0 until allocTables(), so
+  // the line asserts also catch a table used before it exists.
+  DecodeLine &decodeLine(AppPc Pc) {
+    const uint32_t Slot = Pc & (DecodeCacheLines - 1);
+    assert(DecodeCache && Slot < DecodeCacheLines && "decode slot unmapped");
+    return DecodeCache[Slot];
+  }
+  uint32_t &lineGen(uint32_t Line) {
+    assert(Line < NumLines && "LineGen index out of range");
+    return LineGen[Line];
+  }
+  uint32_t &lineState(uint32_t Line) {
+    assert(Line < NumLines && "LineState index out of range");
+    return LineState[Line];
+  }
+
+  // The derived host-side tables: plain per-Machine arrays in one
+  // anonymous mapping, allocated on first use and never shared with a
+  // fork. The kernel zero-fills pages on first touch, so a machine pays
+  // only for the lines it uses.
+  DecodeLine *DecodeCache = nullptr; ///< DecodeCacheLines entries
+  uint32_t *LineGen = nullptr;       ///< per-WriteWatchLine generation
 
   /// Write-monitor state, one word per WriteWatchLine-sized line:
   /// bit 0 is sticky "a decode was cached from this line" (stores there
   /// must invalidate); bits 1+ count live write watches (registrations
   /// nest). Zero means stores to the line are unmonitored — the common
   /// case, and noteWrite's single-load fast path.
-  CowArray<uint32_t> LineState;
+  uint32_t *LineState = nullptr;
+  uint32_t NumLines = 0; ///< LineGen/LineState length; 0 until allocated
+
+  /// Lowest and highest line ever watched (empty while WatchLo > WatchHi).
+  uint32_t WatchLo = ~0u;
+  uint32_t WatchHi = 0;
+  /// A fork's inherited watch counts for [WatchLo, WatchHi], held until
+  /// allocTables() writes them into LineState.
+  std::vector<uint32_t> InheritedWatches;
+
   std::vector<CodeWriteEvent> CodeWrites;
   std::vector<CodeWriteEvent> PendingInval; ///< drained at next step()
 

@@ -58,12 +58,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
-#include <type_traits>
 #include <vector>
 
 namespace rio {
 
-/// Page / CoW-chunk size. 64KB keeps the page tables tiny (512 entries for
+/// Page size. 64KB keeps the page tables tiny (512 entries for
 /// the default 32MB machine) while still copying at most 64KB per faulted
 /// write.
 constexpr uint32_t CowBlockShift = 16;
@@ -332,96 +331,6 @@ private:
   mutable std::vector<uint8_t *> Writable; ///< write table; null = shared
   uint64_t CowCopies = 0;
   uint64_t MutEpoch = 0;
-};
-
-/// A CoW-forkable array of trivially-copyable elements, chunked on the same
-/// refcounted blocks as MemoryImage pages. The Machine keeps its derived
-/// host-side tables (decode cache, write-monitor state, line generations)
-/// in these so that forking a machine shares them too: a fork costs two
-/// pointer tables, not megabytes of eagerly copied metadata. Elements whose
-/// all-zero state is meaningful ("empty", "invalid") cost nothing until
-/// first written — untouched chunks alias the shared zero block.
-template <typename T> class CowArray {
-  static_assert(std::is_trivially_copyable<T>::value &&
-                    std::is_trivially_destructible<T>::value,
-                "CowArray elements are raw memory");
-  static_assert(sizeof(T) <= CowBlockBytes, "element larger than a chunk");
-
-  /// Elements per chunk: the largest power of two that fits a block, so
-  /// index math is shift-and-mask.
-  static constexpr uint32_t elemsPerChunkLog2() {
-    uint32_t Log = 0;
-    while ((2ull << Log) * sizeof(T) <= CowBlockBytes)
-      ++Log;
-    return Log;
-  }
-  static constexpr uint32_t ChunkShift = elemsPerChunkLog2();
-  static constexpr uint32_t ChunkElems = 1u << ChunkShift;
-
-public:
-  explicit CowArray(size_t N = 0) { resize(N); }
-
-  CowArray(const CowArray &Other) : N(Other.N), Chunks(Other.Chunks) {
-    for (uint8_t *Chunk : Chunks)
-      cow::retainBlock(Chunk);
-    Writable.assign(Chunks.size(), nullptr);
-    std::fill(Other.Writable.begin(), Other.Writable.end(), nullptr);
-  }
-
-  CowArray &operator=(const CowArray &) = delete;
-
-  ~CowArray() {
-    for (uint8_t *Chunk : Chunks)
-      cow::releaseBlock(Chunk);
-  }
-
-  /// Sets the element count, zero-filling everything (all chunks return to
-  /// the shared zero block).
-  void resize(size_t NewN) {
-    for (uint8_t *Chunk : Chunks)
-      cow::releaseBlock(Chunk);
-    N = NewN;
-    Chunks.assign((NewN + ChunkElems - 1) / ChunkElems, cow::zeroBlock());
-    Writable.assign(Chunks.size(), nullptr);
-  }
-
-  size_t size() const { return N; }
-
-  const T &operator[](size_t Idx) const {
-    assert(Idx < N && "CowArray index out of range");
-    return *reinterpret_cast<const T *>(
-        Chunks[Idx >> ChunkShift] +
-        (Idx & (ChunkElems - 1)) * sizeof(T));
-  }
-
-  /// Mutable access; faults the chunk private on first write.
-  T &mut(size_t Idx) {
-    assert(Idx < N && "CowArray index out of range");
-    size_t Chunk = Idx >> ChunkShift;
-    uint8_t *Data = Writable[Chunk];
-    if (RIO_UNLIKELY(!Data))
-      Data = faultIn(Chunk);
-    return *reinterpret_cast<T *>(Data + (Idx & (ChunkElems - 1)) * sizeof(T));
-  }
-
-private:
-  uint8_t *faultIn(size_t Chunk) {
-    uint8_t *Cur = Chunks[Chunk];
-    if (Cur != cow::zeroBlock() && cow::blockRefs(Cur) == 1) {
-      Writable[Chunk] = Cur;
-      return Cur;
-    }
-    uint8_t *Fresh = cow::newBlock();
-    if (Cur != cow::zeroBlock())
-      std::memcpy(Fresh, Cur, CowBlockBytes);
-    cow::releaseBlock(Cur);
-    Chunks[Chunk] = Writable[Chunk] = Fresh;
-    return Fresh;
-  }
-
-  size_t N = 0;
-  std::vector<uint8_t *> Chunks;
-  mutable std::vector<uint8_t *> Writable;
 };
 
 } // namespace rio

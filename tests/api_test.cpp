@@ -10,6 +10,8 @@
 #include "api/dr_api.h"
 #include "support/OutStream.h"
 
+#include <memory>
+
 using namespace rio;
 using namespace rio::test;
 
@@ -352,6 +354,83 @@ TEST(DrApi, FlagPreservationAroundFlagClobberingInstrumentation) {
 } // namespace
 
 namespace {
+
+/// A runtime that ran counterLoop under full() and was rewound for a
+/// second run.
+struct RanOnce {
+  Program P = counterLoop(2000);
+  NativeRun Native = runNative(P);
+  Machine M;
+  std::unique_ptr<Client> C;
+  std::unique_ptr<Runtime> RT;
+
+  explicit RanOnce(std::unique_ptr<Client> TheClient = nullptr)
+      : C(std::move(TheClient)) {
+    EXPECT_TRUE(loadProgram(M, P));
+    RT = std::make_unique<Runtime>(M, RuntimeConfig::full(), C.get());
+    EXPECT_EQ(RT->run().Status, RunStatus::Exited);
+    M.resetForRun();
+    RT->resetThreadForRun();
+  }
+};
+
+TEST(DrApi, PublishFragmentInstallsTheNextVersion) {
+  RanOnce R;
+  void *Ctx = R.RT.get();
+  const app_pc Tag = R.P.symbol("loop");
+  ASSERT_EQ(dr_fragment_version(Ctx, Tag), 0);
+  const uint64_t Epoch = dr_publication_epoch(Ctx);
+
+  InstrList *Il = dr_decode_fragment(Ctx, Tag);
+  ASSERT_NE(Il, nullptr);
+  EXPECT_TRUE(dr_publish_fragment(Ctx, Tag, Il));
+  EXPECT_EQ(dr_fragment_version(Ctx, Tag), 1);
+  EXPECT_EQ(dr_publication_epoch(Ctx), Epoch + 1);
+  EXPECT_FALSE(dr_publish_fragment(Ctx, 1, Il)); // no fragment at tag 1
+
+  // The published version runs the program to the native answer.
+  RunResult Run = R.RT->run();
+  ASSERT_EQ(Run.Status, RunStatus::Exited) << Run.FaultReason;
+  EXPECT_EQ(R.M.exitCode(), R.Native.ExitCode);
+}
+
+TEST(DrApi, FreezeTemplateIsIdempotentAndRefusesStatefulClients) {
+  RanOnce R;
+  EXPECT_FALSE(R.RT->isFrozenTemplate());
+  EXPECT_TRUE(dr_freeze_template(R.RT.get()));
+  EXPECT_TRUE(R.RT->isFrozenTemplate());
+  EXPECT_TRUE(dr_freeze_template(R.RT.get()));
+  void *Tenant = dr_fork_machine(R.RT.get());
+  ASSERT_NE(Tenant, nullptr);
+  EXPECT_EQ(static_cast<Runtime *>(Tenant)->run().Status, RunStatus::Exited);
+  EXPECT_EQ(dr_fork_machine_of(Tenant)->exitCode(), R.Native.ExitCode);
+  dr_fork_delete(Tenant);
+
+  // A function client is not persist-safe: its hooks would not be replayed
+  // in a tenant, so the runtime cannot become a template.
+  RanOnce WithClient{
+      std::unique_ptr<Client>(makeFunctionClient(DrClientFunctions()))};
+  EXPECT_FALSE(dr_freeze_template(WithClient.RT.get()));
+  EXPECT_FALSE(WithClient.RT->isFrozenTemplate());
+}
+
+TEST(DrApi, MetricsRegistryIsOnePerRuntimeAndTakesClientGauges) {
+  RanOnce R;
+  void *Ctx = R.RT.get();
+  MetricsRegistry &Reg = dr_metrics(Ctx);
+  EXPECT_EQ(&Reg, &dr_metrics(Ctx));
+  MetricsRegistry::SourceId Src = Reg.addSource("client");
+  Reg.addGauge(Src, "answer", [] { return uint64_t(42); });
+
+  MetricSnapshot S = dr_metrics_snapshot(Ctx);
+  ASSERT_NE(S.section("main"), nullptr);
+  const MetricSection *Client = S.section("client");
+  ASSERT_NE(Client, nullptr);
+  const MetricValue *Answer = MetricSnapshot::find(*Client, "answer");
+  ASSERT_NE(Answer, nullptr);
+  EXPECT_EQ(Answer->Value, 42u);
+  EXPECT_EQ(Answer->Kind, MetricKind::Gauge);
+}
 
 TEST(DrApi, OperandAccessorFamily) {
   opnd_t R = opnd_create_reg(REG_EDX);

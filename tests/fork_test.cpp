@@ -17,9 +17,10 @@
 ///   - Machine forks: a tenant's writes never leak into the template;
 ///   - Runtime::forkFrom: a forked tenant re-runs the program with cycle
 ///     counts bit-identical to a cold runtime's second (steady-state) run,
-///     explicit cache mutation unshares exactly once, the template keeps
-///     working after its tenants are destroyed, and the guard rails
-///     (unfrozen template, attached client) refuse to fork;
+///     explicit cache mutation unshares exactly once, self-modifying code
+///     is caught before the tenant unshares, the template keeps working
+///     after its tenants are destroyed, and the guard rails (unfrozen
+///     template, attached client) refuse to fork;
 ///   - the TenantFleet helper and the dr_fork_machine API veneer.
 ///
 //===----------------------------------------------------------------------===//
@@ -542,6 +543,42 @@ TEST(RuntimeFork, TenantOfTwiceWarmedTemplateUnsharesMidRun) {
         EXPECT_EQ(TenantM.cycles() - T0, ThirdRun);
         EXPECT_EQ(TenantM.output(), Ref.output());
       }
+}
+
+/// Self-modifying code in a tenant that still shares its template's cache:
+/// the first patch of app code behind a shared fragment must be seen (the
+/// fork inherits its template's write-watch counts, not its decode cache),
+/// unshare the cache once, and retranslate. A fork of a never-stepped fork
+/// holds its watches without tables; it must pass them on all the same.
+TEST(RuntimeFork, TenantSeesSelfModifyingCodeBeforeUnsharing) {
+  Program Prog = buildWorkload(*findWorkload("smc"), 40);
+  NativeRun Native = runNative(Prog);
+  ASSERT_EQ(Native.Status, RunStatus::Exited) << Native.FaultReason;
+
+  Machine M;
+  ASSERT_TRUE(loadProgram(M, Prog));
+  Runtime Template(M, RuntimeConfig::full());
+  for (int Run = 1; Run <= 2; ++Run) {
+    ASSERT_EQ(Template.run().Status, RunStatus::Exited);
+    M.resetForRun();
+    Template.resetThreadForRun();
+  }
+  std::string Err;
+  ASSERT_TRUE(Template.freezeTemplate(&Err)) << Err;
+  const size_t WarmOutput = M.output().size(); // a fork carries it along
+
+  for (bool ForkOfFork : {false, true}) {
+    SCOPED_TRACE(ForkOfFork ? "fork of a never-stepped fork" : "fork");
+    Machine Mid(M);
+    Machine TenantM(ForkOfFork ? Mid : M);
+    auto Tenant = Runtime::forkFrom(Template, TenantM, &Err);
+    ASSERT_NE(Tenant, nullptr) << Err;
+    RunResult R = Tenant->run();
+    ASSERT_EQ(R.Status, RunStatus::Exited) << R.FaultReason;
+    EXPECT_EQ(TenantM.output().substr(WarmOutput), Native.Output);
+    EXPECT_EQ(TenantM.exitCode(), Native.ExitCode);
+    EXPECT_EQ(Tenant->stats().get("fork_cache_unshares"), 1u);
+  }
 }
 
 //===----------------------------------------------------------------------===//
