@@ -581,6 +581,9 @@ int main(int argc, char **argv) {
       });
     }
     R = runWithSideline(*RT, *Sideline);
+    // The worker may still be transforming a handed-off trace; wait for it
+    // before the inner client's own counters are read below.
+    Sideline->quiesce();
   } else {
     RT = std::make_unique<Runtime>(M, Config, ClientPtr);
     WarmStart(*RT);

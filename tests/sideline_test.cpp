@@ -14,6 +14,8 @@
 #include "workloads/Workloads.h"
 
 #include <algorithm>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 using namespace rio;
@@ -53,6 +55,7 @@ TEST(Sideline, OptimizesTracesOffTheCriticalPath) {
   ASSERT_EQ(R.Status, RunStatus::Exited) << R.FaultReason;
   EXPECT_EQ(M.output(), Native.Output);
   EXPECT_GE(S.Sideline.tracesOptimized(), 1u);
+  S.Sideline.quiesce(); // the worker writes Inner's counters
   EXPECT_GE(Inner.loadsForwarded() + Inner.loadsRemoved(), 1u);
   EXPECT_EQ(S.RT.stats().get("sideline_versions_published"),
             S.Sideline.tracesOptimized());
@@ -316,6 +319,41 @@ TEST(Sideline, QueueDrainsAndSurvivesFlushes) {
   // consistent, and every queued trace was published or dropped.
   S.RT.flushCaches();
   EXPECT_EQ(S.Sideline.pendingCount(), 0u);
+}
+
+/// A sideline-safe client whose transform takes host time, so the worker
+/// is still busy with handed-off traces when the application exits.
+class SlowCountingClient : public Client {
+public:
+  bool sidelineSafe() const override { return true; }
+  void onTrace(Runtime &, AppPc, InstrList &) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ++Transformed;
+  }
+  uint64_t Transformed = 0; ///< worker-written: read after quiesce
+};
+
+TEST(Sideline, QuiesceWaitsForTheWorkerAndPublishesNothing) {
+  // At scale 1, crafty exits with traces still in flight.
+  Program P = buildWorkload(*findWorkload("crafty"), 1);
+  Machine M;
+  ASSERT_TRUE(loadProgram(M, P));
+  SlowCountingClient Inner;
+  auto S = std::make_unique<Sidelined>(M, Inner);
+  RunResult R = S->run();
+  ASSERT_EQ(R.Status, RunStatus::Exited) << R.FaultReason;
+  size_t Pending = S->Sideline.pendingCount();
+  uint64_t Published = S->Sideline.tracesOptimized();
+  ASSERT_GE(Pending, 1u); // work the worker may still be holding
+  S->Sideline.quiesce();
+  uint64_t Quiesced = Inner.Transformed;
+  EXPECT_EQ(S->Sideline.pendingCount(), Pending);
+  EXPECT_EQ(S->Sideline.tracesOptimized(), Published);
+  EXPECT_GT(Quiesced, Published);
+  // Joining the worker runs no further transform: quiesce already waited
+  // for every job it had been handed.
+  S.reset();
+  EXPECT_EQ(Inner.Transformed, Quiesced);
 }
 
 } // namespace
